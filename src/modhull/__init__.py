@@ -1,10 +1,10 @@
 """modhull: exact geometry of modular hyperbolas.
 
 Builds the point sets H_a(m) = {(x, y) : xy = a (mod m), 1 <= x, y <= m-1},
-their convex closures and vertex counts, a divisor-pruned hull search that
-avoids full enumeration for large moduli, conic detection by integer
-linear algebra, exact quadratic-curve point counting, and batch sweep
-tooling with a reproducible CSV contract.
+their convex closures and vertex counts, a certificate-checked hull search
+over the points near the corners that avoids full enumeration for large
+moduli, conic detection by integer linear algebra, exact quadratic-curve
+point counting, and batch sweep tooling with a reproducible CSV contract.
 """
 
 from ._version import __version__
@@ -43,15 +43,16 @@ from .geometry import (
     twice_area,
 )
 from .hullfast import (
-    PruneConfig,
+    ENUMERATE_BELOW,
     VerificationReport,
-    candidate_cutoff,
     candidate_points,
     fast_hull,
+    hull_method,
     lower_left_candidates,
     verify_against_naive,
 )
 from .hyperbola import (
+    ENUMERATION_CEILING,
     MODULUS_CEILING,
     NEGATE,
     REFLECT_Y,

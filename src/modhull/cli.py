@@ -21,35 +21,27 @@ from .experiments import (
     write_csv,
 )
 from .geometry import twice_area
-from .hullfast import PruneConfig, fast_hull, verify_against_naive
+from .hullfast import fast_hull, hull_method, verify_against_naive
 from .hyperbola import HyperbolaSpec, count_in_box, predicted_count, read_points_file
 
 __all__ = ["main"]
 
 
-def _prune_config(args) -> PruneConfig:
-    return PruneConfig(
-        cutoff_factor=Fraction(args.cutoff_factor),
-        method=getattr(args, "method", "auto"),
-    )
-
-
 def _cmd_hull(args) -> int:
     spec = HyperbolaSpec(args.m, args.a)
-    cfg = _prune_config(args)
-    poly = fast_hull(spec, cfg)
+    poly = fast_hull(spec)
     if args.json:
         out = {
             "m": spec.m,
             "a": spec.a,
-            "method": cfg.resolve_method(spec.m),
+            "method": hull_method(spec.m),
             "v": poly.vertex_count,
             "twice_area": twice_area(poly),
             "vertices": [list(p) for p in poly.vertices],
         }
         print(json.dumps(out))
     else:
-        print(f"m={spec.m} a={spec.a} method={cfg.resolve_method(spec.m)} v={poly.vertex_count}")
+        print(f"m={spec.m} a={spec.a} method={hull_method(spec.m)} v={poly.vertex_count}")
         for x, y in poly.vertices:
             print(f"{x} {y}")
     return 0
@@ -57,12 +49,10 @@ def _cmd_hull(args) -> int:
 
 def _cmd_sweep(args) -> int:
     policy = APolicy.parse(args.a_policy, seed=args.seed)
-    cfg = _prune_config(args)
     records = run_sweep(
         args.m_min,
         args.m_max,
         policy,
-        cfg,
         workers=args.workers,
         use_cache=not args.no_cache,
     )
@@ -74,12 +64,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     policy = APolicy.parse(args.a_policy, seed=args.seed)
-    cfg = _prune_config(args)
     mismatches = 0
     checked = 0
     for m in range(args.m_min, args.m_max + 1):
         for a in policy.a_values(m):
-            report = verify_against_naive(HyperbolaSpec(m, a), cfg)
+            report = verify_against_naive(HyperbolaSpec(m, a))
             checked += 1
             if not report.equal:
                 mismatches += 1
@@ -141,15 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modhull", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_prune_flags(p, with_method=True):
-        if with_method:
-            p.add_argument("--method", choices=("naive", "fast", "auto"), default="auto")
-        p.add_argument("--cutoff-factor", default="4", help="rational scale of the product cutoff")
-
     p = sub.add_parser("hull", help="hull of one H_a(m): vertex count and vertices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    add_prune_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hull)
 
@@ -161,15 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-cache", action="store_true")
-    add_prune_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="compare pruned hulls against brute force")
+    p = sub.add_parser("verify", help="compare certified hulls against brute force")
     p.add_argument("--m-min", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--a-policy", required=True, help="one | all | sample:K")
     p.add_argument("--seed", type=int, default=0)
-    add_prune_flags(p, with_method=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="box count vs the expected main term")

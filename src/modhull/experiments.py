@@ -2,9 +2,9 @@
 lower-bound census v_1(m) >= 2*(tau(m-1) - 1), exponent summaries, and a
 restartable flat-file cache.
 
-Reproducibility contract: identical inputs (range, policy, seed, prune
-config) produce identical records, and a warm cache replays timing fields
-verbatim, so repeated sweeps emit byte-identical CSV.  Residue sampling
+Reproducibility contract: identical inputs (range, policy, seed) produce
+identical records, and a warm cache replays timing fields verbatim, so
+repeated sweeps emit byte-identical CSV.  Residue sampling
 uses an explicit splitmix64 stream so seeds mean the same thing on every
 platform.
 """
@@ -18,13 +18,12 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from ._version import __version__
 from .geometry import convex_hull
-from .hullfast import PruneConfig, candidate_points, fast_hull
-from .hyperbola import HyperbolaSpec, enumerate_points
+from .hullfast import candidate_points, fast_hull, hull_method
+from .hyperbola import HyperbolaSpec
 from .ntheory import arithmetic_profile, factorize
 
 __all__ = [
@@ -176,19 +175,12 @@ class SweepRecord:
         )
 
 
-def compute_record(m: int, a: int, cfg: PruneConfig = PruneConfig()) -> SweepRecord:
+def compute_record(m: int, a: int) -> SweepRecord:
     """One sweep record: hull vertex count plus the arithmetic statistics of m."""
     spec = HyperbolaSpec(m, a)
-    method = cfg.resolve_method(m)
     start = time.perf_counter_ns()
-    if method == "naive":
-        pts = enumerate_points(spec)
-        poly = convex_hull(pts)
-        candidate_count = len(pts)
-    else:
-        cands = candidate_points(spec, cfg)
-        poly = convex_hull(cands)
-        candidate_count = len(cands)
+    cands = candidate_points(spec)
+    poly = convex_hull(cands)
     elapsed = time.perf_counter_ns() - start
     prof = arithmetic_profile(m)
     v = poly.vertex_count
@@ -205,8 +197,8 @@ def compute_record(m: int, a: int, cfg: PruneConfig = PruneConfig()) -> SweepRec
         squarefree=prof.squarefree,
         exponent=exponent,
         norm512=norm512,
-        method=method,
-        candidate_count=candidate_count,
+        method=hull_method(m),
+        candidate_count=len(cands),
         elapsed_ns=elapsed,
     )
 
@@ -218,8 +210,8 @@ def default_cache_file() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.jsonl"
 
 
-def _cache_key(m: int, a: int, method: str, cutoff_factor: Fraction) -> tuple:
-    return (m, a, method, str(cutoff_factor), __version__)
+def _cache_key(m: int, a: int) -> tuple:
+    return (m, a, __version__)
 
 
 def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
@@ -259,15 +251,14 @@ def _store_cache(path: Path, entries: dict[tuple, SweepRecord]) -> None:
 
 
 def _record_task(args: tuple) -> SweepRecord:
-    m, a, cfg = args
-    return compute_record(m, a, cfg)
+    m, a = args
+    return compute_record(m, a)
 
 
 def run_sweep(
     m_min: int,
     m_max: int,
     policy: APolicy,
-    cfg: PruneConfig = PruneConfig(),
     workers: int = 1,
     use_cache: bool = True,
     cache_file: Path | None = None,
@@ -283,21 +274,18 @@ def run_sweep(
     cache_path = Path(cache_file) if cache_file is not None else default_cache_file()
     cache = _load_cache(cache_path) if use_cache else {}
 
-    def key_of(m: int, a: int) -> tuple:
-        return _cache_key(m, a, cfg.resolve_method(m), cfg.cutoff_factor)
-
-    missing = [(m, a) for m, a in tasks if key_of(m, a) not in cache]
+    missing = [(m, a) for m, a in tasks if _cache_key(m, a) not in cache]
     if missing:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(_record_task, [(m, a, cfg) for m, a in missing], chunksize=8))
+                computed = list(pool.map(_record_task, missing, chunksize=8))
         else:
-            computed = [compute_record(m, a, cfg) for m, a in missing]
+            computed = [compute_record(m, a) for m, a in missing]
         for rec in computed:
-            cache[key_of(rec.m, rec.a)] = rec
+            cache[_cache_key(rec.m, rec.a)] = rec
         if use_cache:
             _store_cache(cache_path, cache)
-    return [cache[key_of(m, a)] for m, a in sorted(tasks)]
+    return [cache[_cache_key(m, a)] for m, a in sorted(tasks)]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -311,9 +299,7 @@ def write_csv(path, records: list[SweepRecord]) -> None:
         fh.write(records_to_csv(records))
 
 
-def lower_bound_census(
-    m_min: int, m_max: int, cfg: PruneConfig = PruneConfig()
-) -> tuple[list[tuple[int, int, int]], int]:
+def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int]], int]:
     """Check v_1(m) >= 2*(tau(m-1) - 1) over the range.
 
     Returns (violations, equality_count); violations hold (m, v, bound) and
@@ -324,7 +310,7 @@ def lower_bound_census(
     violations = []
     equality = 0
     for m in range(m_min, m_max + 1):
-        v = fast_hull(HyperbolaSpec(m, 1), cfg).vertex_count
+        v = fast_hull(HyperbolaSpec(m, 1)).vertex_count
         bound = 2 * (factorize(m - 1).tau - 1)
         if v < bound:
             violations.append((m, v, bound))

@@ -17,6 +17,7 @@ from .ntheory import arithmetic_profile, batch_mod_inv
 
 __all__ = [
     "MODULUS_CEILING",
+    "ENUMERATION_CEILING",
     "Point",
     "PointSet",
     "HyperbolaSpec",
@@ -37,10 +38,17 @@ __all__ = [
 Point = tuple[int, int]
 PointSet = tuple[Point, ...]
 
-# Supported modulus range.  Geometry stays exact at any size (Python ints),
-# but the pruned hull search factors numbers up to ~4*m^(3/2)*log^2(m), so
-# the modulus is capped well inside the factoring ceiling.
+# Supported modulus range.  Geometry stays exact at any size (Python ints);
+# the certified hull search factors the numbers a + m*l <= c, where the
+# accepted cutoff c is a small multiple of m (at most 32*m over 14,900
+# pairs with m <= 3000 and 800 random pairs with m <= 2**31), far inside
+# the factoring ceiling 2**63.
 MODULUS_CEILING = 2**31
+
+# Largest modulus enumerate_points accepts.  Enumeration holds phi(m) point
+# tuples plus the cached inverse table, about 180 bytes a point: one call at
+# m = 9999991 peaked at 1780 MiB RSS (CPython 3.11, 64-bit Linux).
+ENUMERATION_CEILING = 10**7
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,13 @@ def _full_inverse_table(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:
-    """All phi(m) points of H_a(m), sorted by x (one point per unit x)."""
+    """All phi(m) points of H_a(m), sorted by x (one point per unit x).
+
+    Raises ValueError above ENUMERATION_CEILING, before allocating anything.
+    """
     m, a = spec.m, spec.a
+    if m > ENUMERATION_CEILING:
+        raise ValueError(f"enumeration is limited to m <= {ENUMERATION_CEILING} (~180 bytes a point), got m = {m}")
     xs, invs = _full_inverse_table(m)
     return tuple((x, a * inv % m) for x, inv in zip(xs, invs))
 

@@ -19,7 +19,7 @@ import modhull
 from modhull.conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
 from modhull.experiments import SplitMix64, _record_task, exponent_summary, lower_bound_census, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull, normalize_to_box, twice_area
-from modhull.hullfast import PruneConfig, verify_against_naive
+from modhull.hullfast import verify_against_naive
 from modhull.hyperbola import (
     NEGATE,
     SWAP,
@@ -52,11 +52,10 @@ def residues_for(m: int) -> list[int]:
 def sweep_reports():
     """Criterion 1/8 workhorse: fast-vs-naive verification for every
     m in [10, 3000] and its five residues."""
-    cfg = PruneConfig(method="fast")
     out = []
     for m in range(10, 3001):
         for a in residues_for(m):
-            rep = verify_against_naive(HyperbolaSpec(m, a), cfg)
+            rep = verify_against_naive(HyperbolaSpec(m, a))
             out.append(rep)
     return out
 
@@ -178,9 +177,8 @@ def test_criterion_7_exponent_regression():
     moduli = set()
     while len(moduli) < 200:
         moduli.add(10_000 + rng.below(90_001))
-    cfg = PruneConfig()
     tasks = [
-        (m, a, cfg)
+        (m, a)
         for m in sorted(moduli)
         for a in sorted({1} | set(sample_coprime(m, 2, EXP_SEED)))
     ]

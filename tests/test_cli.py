@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from modhull import hullfast
 from modhull.cli import main
+from modhull.experiments import sample_coprime
+from modhull.geometry import ConvexPolygon
 from modhull.hyperbola import format_points
 
 
@@ -29,9 +34,29 @@ def test_hull_json(capsys):
 
 
 def test_hull_method_flag(capsys):
-    code, out, _ = run_cli(capsys, "hull", "--m", "7", "--a", "1", "--method", "fast", "--json")
-    naive = run_cli(capsys, "hull", "--m", "7", "--a", "1", "--method", "naive", "--json")[1]
-    assert json.loads(out)["vertices"] == json.loads(naive)["vertices"]
+    # the method is chosen from m alone; the old tuning flags are gone
+    assert json.loads(run_cli(capsys, "hull", "--m", "7", "--a", "1", "--json")[1])["method"] == "naive"
+    assert json.loads(run_cli(capsys, "hull", "--m", "1009", "--a", "1", "--json")[1])["method"] == "fast"
+    for flag, value in (("--method", "fast"), ("--cutoff-factor", "4")):
+        with pytest.raises(SystemExit) as exc:
+            main(["hull", "--m", "7", "--a", "1", flag, value])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 2**31])
+def test_hull_json_at_modulus_ceiling(capsys, m):
+    # the documented range: both ends of 2^31 run, with a = 1 and a seeded unit
+    for a in [1] + sample_coprime(m, 1, 0x5EED8):
+        code, out, _ = run_cli(capsys, "hull", "--m", str(m), "--a", str(a), "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["m"], obj["a"], obj["method"]) == (m, a, "fast")
+        verts = [tuple(p) for p in obj["vertices"]]
+        ConvexPolygon(tuple(verts))  # strictly convex, counterclockwise
+        assert obj["v"] == len(verts) >= 4
+        assert all(0 < x < m and 0 < y < m and x * y % m == a for x, y in verts)
+        assert {(y, x) for x, y in verts} == set(verts)
+        assert {(m - x, m - y) for x, y in verts} == set(verts)
 
 
 def test_hull_rejects_bad_residue(capsys):
@@ -60,16 +85,30 @@ def test_verify_ok(capsys):
     assert "all 21 hulls match" in out
 
 
-def test_verify_mismatch_exit_code(capsys):
+def test_verify_mismatch_exit_code(capsys, monkeypatch):
+    # a certified generator that loses every point off the diagonal
+    real = hullfast._certified_candidates
+    monkeypatch.setattr(
+        hullfast, "_certified_candidates", lambda spec: tuple(p for p in real(spec) if p[0] == p[1])
+    )
     code, out, _ = run_cli(
         capsys,
         "verify",
         "--m-min", "7", "--m-max", "7",
         "--a-policy", "one",
-        "--cutoff-factor", "1/1000000000000",
     )
     assert code == 1
     assert "MISMATCH" in out
+    assert "missing=[(2, 4), (3, 5), (4, 2), (5, 3)] extra=[]" in out
+
+
+def test_verify_refuses_oracle_beyond_ceiling(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--m-min", "2147483647", "--m-max", "2147483647", "--a-policy", "one"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "10000000" in err
+    assert out == ""
 
 
 def test_sweep_writes_csv(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,19 @@
 import math
-from fractions import Fraction
 
-import pytest
-
-from modhull.geometry import convex_hull, twice_area
+from modhull import hullfast
+from modhull.geometry import contains_point, convex_hull
 from modhull.hullfast import (
-    PruneConfig,
-    candidate_cutoff,
+    ENUMERATE_BELOW,
+    _certifies,
+    _corner_points,
+    _edge_within,
     candidate_points,
     fast_hull,
+    hull_method,
     lower_left_candidates,
     verify_against_naive,
 )
 from modhull.hyperbola import HyperbolaSpec, enumerate_points
-from modhull.ntheory import primes_up_to
 
 
 def filtered_enumeration(spec, cutoff):
@@ -55,86 +55,114 @@ def test_lower_left_empty_below_minimal_product():
     assert lower_left_candidates(spec, 2) == ()  # minimal product is a = 3
 
 
+def corner_product(p, m):
+    """f(x, y) = min(x, m-x) * min(y, m-y), the quantity the certificate bounds."""
+    return min(p[0], m - p[0]) * min(p[1], m - p[1])
+
+
+def lattice_max_outside(poly, m):
+    """Largest f over the lattice points of [1, m-1]^2 outside poly, found
+    column by column: the polygon meets a column in one interval, so the
+    scans from both ends stop at its first lattice point inside."""
+    best = 0
+    for x in range(1, m):
+        ys = range(1, m)
+        for scan in (ys, reversed(ys)):
+            for y in scan:
+                if contains_point(poly, (x, y)):
+                    break
+                best = max(best, corner_product((x, y), m))
+            else:
+                break  # no lattice point of the column is inside
+    return best
+
+
 def test_candidates_are_genuine_points():
     for m, a in [(7, 1), (101, 13), (1009, 1), (1024, 255)]:
         spec = HyperbolaSpec(m, a)
         pts = set(enumerate_points(spec))
-        cands = candidate_points(spec, PruneConfig())
+        cands = candidate_points(spec)
         assert set(cands) <= pts
 
 
-def test_cutoff_formula():
-    assert candidate_cutoff(7) == int(4 * math.isqrt(7**3) * (1 + math.log(7)) ** 2)
-    assert candidate_cutoff(7, Fraction(1, 1000)) >= 1
-    with pytest.raises(ValueError):
-        PruneConfig(cutoff_factor=Fraction(0))
-    with pytest.raises(ValueError):
-        PruneConfig(method="bogus")
-
-
 def test_fast_hull_examples():
-    s7 = HyperbolaSpec(7, 1)
-    cfg = PruneConfig(method="fast")
-    assert fast_hull(s7, cfg) == convex_hull(enumerate_points(s7))
-    s101 = HyperbolaSpec(101, 1)
-    assert fast_hull(s101, cfg) == convex_hull(enumerate_points(s101))
+    for m, a in [(7, 1), (101, 1), (1009, 1), (4096, 2047)]:
+        spec = HyperbolaSpec(m, a)
+        assert fast_hull(spec) == convex_hull(enumerate_points(spec))
 
 
 def test_fast_hull_methods_dispatch():
-    spec = HyperbolaSpec(50, 3)
-    naive = fast_hull(spec, PruneConfig(method="naive"))
-    auto = fast_hull(spec, PruneConfig(method="auto"))  # below threshold -> naive
-    forced = fast_hull(spec, PruneConfig(method="fast"))
-    assert naive == auto == forced
-    big = HyperbolaSpec(1201, 1)
-    assert PruneConfig(method="auto").resolve_method(1201) == "fast"
-    assert fast_hull(big, PruneConfig(method="auto")) == fast_hull(
-        big, PruneConfig(method="naive")
-    )
+    # below ENUMERATE_BELOW every point is hulled; from there on, the
+    # certified candidates, a strict subset
+    small = HyperbolaSpec(ENUMERATE_BELOW - 1, 1)
+    assert hull_method(small.m) == "naive"
+    assert candidate_points(small) == enumerate_points(small)
+    big = HyperbolaSpec(ENUMERATE_BELOW + 1, 1)
+    assert hull_method(big.m) == "fast"
+    assert set(candidate_points(big)) < set(enumerate_points(big))
+    for spec in (small, big):
+        assert fast_hull(spec) == convex_hull(enumerate_points(spec))
 
 
-def test_fast_hull_soundness_with_tiny_cutoff():
-    # candidates are genuine points, so the pruned hull sits inside the true one
-    cfg = PruneConfig(cutoff_factor=Fraction(1, 10**12), method="fast")
-    for m, a in [(7, 1), (11, 1), (30, 7), (101, 5)]:
+def test_certificate_soundness_lattice_oracle():
+    # whenever the certificate accepts (P, c), no lattice point outside P
+    # has f > c.  P is the hull of the four-corner candidates or of the
+    # lower-left ones alone (which need not contain the centre); cutoffs
+    # below the accepted one exercise rejections.
+    accepted = rejected = 0
+    for m in range(3, 34):
+        for a in (a for a in range(1, m) if math.gcd(a, m) == 1):
+            spec = HyperbolaSpec(m, a)
+            for k in (1, 2, 3, 4, 6, 8, 16):
+                c = m * k // 2
+                if c >= (m - 1) ** 2:
+                    break
+                for pts in (_corner_points(spec, c), lower_left_candidates(spec, c)):
+                    if not pts:
+                        continue  # c below the smallest product a
+                    poly = convex_hull(pts)
+                    if _certifies(poly, m, c):
+                        accepted += 1
+                        assert lattice_max_outside(poly, m) <= c, (m, a, c, poly)
+                    else:
+                        rejected += 1
+    assert accepted > 1000 and rejected > 1000
+
+
+def test_edge_maximum_examples():
+    # the certificate bounds f on the real segment, not only at its lattice
+    # points: along x + y = 5 (m = 10) f = x*(5-x) peaks at 25/4 between
+    # (2, 3) and (3, 2); across the midline x = 5, f = 5*min(x, 10-x) peaks
+    # at the crossing
+    assert not _edge_within((1, 4), (4, 1), 10, 6)
+    assert _edge_within((1, 4), (4, 1), 10, 7)
+    assert not _edge_within((1, 5), (9, 5), 10, 24)
+    assert _edge_within((1, 5), (9, 5), 10, 25)
+    assert _edge_within((3, 7), (3, 7), 10, 9) and not _edge_within((3, 7), (3, 7), 10, 8)
+
+
+def test_corner_points_are_exactly_small_f():
+    for m, a in [(11, 2), (30, 7), (97, 1), (128, 45)]:
         spec = HyperbolaSpec(m, a)
-        naive = convex_hull(enumerate_points(spec))
-        pruned = fast_hull(spec, cfg)
-        assert set(pruned.vertices) <= set(naive.vertices)
-        assert twice_area(pruned) <= twice_area(naive)
+        for c in (m // 2, m, 3 * m):
+            expected = {p for p in enumerate_points(spec) if corner_product(p, m) <= c}
+            assert _corner_points(spec, c) == expected, (m, a, c)
 
 
 def test_real_pruning_keeps_hull_small_sweep():
-    # a reduced cutoff that actually prunes still reproduces the hull exactly,
-    # because hull vertices have small corner products
-    cfg = PruneConfig(cutoff_factor=Fraction(1, 100), method="fast")
-    checked = pruned_somewhere = 0
+    # the certified search prunes at every modulus here and never loses a vertex
     for m in range(200, 320):
-        spec = HyperbolaSpec(m, 1)
-        cands = candidate_points(spec, cfg)
-        full = enumerate_points(spec)
-        if len(cands) < len(full):
-            pruned_somewhere += 1
-        if fast_hull(spec, cfg) == convex_hull(full):
-            checked += 1
-    assert pruned_somewhere > 100  # the reduced cutoff genuinely prunes
-    assert checked > 115  # and almost never loses a vertex at this scale
+        rep = verify_against_naive(HyperbolaSpec(m, 1))
+        assert rep.equal, (m, rep.missing, rep.extra)
+        assert rep.candidate_count < rep.point_count
 
 
 def test_real_pruning_at_medium_scale():
-    # reduced cutoffs at m ~ 5*10^4 discard most points yet keep the hull
-    # exact: hull vertices carry small corner products
-    m = 50021
-    expected = {
-        Fraction(1, 4): 45908,
-        Fraction(1, 20): 18998,
-        Fraction(1, 100): 5762,
-    }
-    for cf, n_candidates in expected.items():
-        rep = verify_against_naive(HyperbolaSpec(m, 1), PruneConfig(cutoff_factor=cf))
-        assert rep.equal, (cf, rep.missing)
-        assert rep.candidate_count == n_candidates
-        assert rep.candidate_count < rep.point_count == 50020
+    # at m ~ 5*10^4 the certificate accepts a few dozen corner points
+    rep = verify_against_naive(HyperbolaSpec(50021, 1))
+    assert rep.equal, (rep.missing, rep.extra)
+    assert rep.point_count == 50020
+    assert rep.candidate_count < 200
 
 
 def test_verify_report_fields():
@@ -144,59 +172,28 @@ def test_verify_report_fields():
     assert report.point_count == 6
     assert report.candidate_count == 6
     assert report.missing == () and report.extra == ()
-    assert report.max_lower_left_product == 1  # (1,1) is the only LL-square vertex
-    cutoff = candidate_cutoff(7)
-    assert report.max_lower_left_product <= cutoff
+    # (2,4), (3,5), (4,2), (5,3) each have corner product 2*3
+    assert report.max_corner_product == 6
 
     tiny = verify_against_naive(HyperbolaSpec(2, 1))
     assert tiny.equal and tiny.naive_vertices == ((1, 1),)
+    assert tiny.max_corner_product == 1
 
 
-def test_verify_forced_mismatch():
-    report = verify_against_naive(
-        HyperbolaSpec(7, 1), PruneConfig(cutoff_factor=Fraction(1, 10**12))
+def test_verify_forced_mismatch(monkeypatch):
+    # a certified generator that loses every candidate off the diagonal
+    real = hullfast._certified_candidates
+    monkeypatch.setattr(
+        hullfast, "_certified_candidates", lambda spec: tuple(p for p in real(spec) if p[0] == p[1])
     )
+    report = verify_against_naive(HyperbolaSpec(7, 1))
     assert not report.equal
     assert report.missing == ((2, 4), (3, 5), (4, 2), (5, 3))
     assert report.extra == ()
 
 
 def test_fast_equals_naive_small_sweep():
-    cfg = PruneConfig(method="fast")
     for m in range(10, 130):
         for a in {1, m - 1}:
-            report = verify_against_naive(HyperbolaSpec(m, a), cfg)
+            report = verify_against_naive(HyperbolaSpec(m, a))
             assert report.equal, (m, a, report.missing)
-
-
-def test_progression_factoring_is_complete():
-    # the sieve behind the divisor walk factors every a + m*l correctly
-    from modhull.hullfast import _factored_progression
-
-    m, a, l_max = 97, 5, 400
-    seen = []
-    for l, facs in _factored_progression(a, m, l_max):
-        seen.append(l)
-        n = a + m * l
-        prod = 1
-        for p, e in facs:
-            assert p > 1 and e >= 1
-            # p prime: no divisor up to sqrt
-            assert all(p % q for q in primes_up_to(math.isqrt(p)))
-            prod *= p**e
-        assert prod == n
-    assert seen == list(range(l_max + 1))
-
-
-def test_progression_factoring_spans_chunks():
-    from modhull.hullfast import _CHUNK, _factored_progression
-
-    m, a = 3, 1
-    l_max = _CHUNK + 50  # force a second sieve window
-    count = 0
-    for l, facs in _factored_progression(a, m, l_max):
-        if l % 9973 == 0 or l > _CHUNK:
-            n = a + m * l
-            assert math.prod(p**e for p, e in facs) == n
-        count += 1
-    assert count == l_max + 1

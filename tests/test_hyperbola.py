@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modhull import hyperbola
 from modhull.hyperbola import (
+    ENUMERATION_CEILING,
     NEGATE,
     REFLECT_Y,
     SWAP,
@@ -137,3 +139,16 @@ def test_point_text_roundtrip():
     assert parse_points(text) == pts
     with pytest.raises(ValueError):
         parse_points("1 2 3\n")
+
+
+def test_enumeration_ceiling_fires_before_allocating(monkeypatch):
+    # the inverse table is where enumeration allocates; above the ceiling
+    # it must never be reached
+    calls = []
+    monkeypatch.setattr(hyperbola, "_full_inverse_table", lambda m: calls.append(m) or ((), ()))
+    for m in (ENUMERATION_CEILING + 1, 2**31):
+        with pytest.raises(ValueError, match="enumeration is limited"):
+            enumerate_points(HyperbolaSpec(m, 1))
+    assert calls == []
+    assert enumerate_points(HyperbolaSpec(ENUMERATION_CEILING, 1)) == ()  # allowed up to the ceiling
+    assert calls == [ENUMERATION_CEILING]
