@@ -14,17 +14,16 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ._version import __version__
 from .geometry import convex_hull
 from .hullfast import candidate_points, fast_hull, hull_method
 from .hyperbola import HyperbolaSpec
-from .ntheory import arithmetic_profile, factorize
+from .ntheory import ArithmeticProfile, arithmetic_profile, factorize
 
 __all__ = [
     "CACHE_ENV",
@@ -175,6 +174,13 @@ class SweepRecord:
         )
 
 
+@lru_cache(maxsize=1)
+def _modulus_stats(m: int) -> tuple[ArithmeticProfile, int]:
+    """arithmetic_profile(m) and tau(m - 1).  A sweep visits the residues of
+    one modulus in a row, so the last modulus is all there is to keep."""
+    return arithmetic_profile(m), factorize(m - 1).tau
+
+
 def compute_record(m: int, a: int) -> SweepRecord:
     """One sweep record: hull vertex count plus the arithmetic statistics of m."""
     spec = HyperbolaSpec(m, a)
@@ -182,7 +188,7 @@ def compute_record(m: int, a: int) -> SweepRecord:
     cands = candidate_points(spec)
     poly = convex_hull(cands)
     elapsed = time.perf_counter_ns() - start
-    prof = arithmetic_profile(m)
+    prof, tau_m_minus_1 = _modulus_stats(m)
     v = poly.vertex_count
     exponent = math.log(v) / math.log(m) if v > 1 else 0.0
     norm512 = v / (prof.t * m ** (5.0 / 12.0))
@@ -191,7 +197,7 @@ def compute_record(m: int, a: int) -> SweepRecord:
         a=spec.a,
         v=v,
         phi=prof.phi,
-        tau_m_minus_1=factorize(m - 1).tau,
+        tau_m_minus_1=tau_m_minus_1,
         kernel=prof.kernel,
         t=prof.t,
         squarefree=prof.squarefree,
@@ -233,12 +239,15 @@ def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
 
 
 def _store_cache(path: Path, entries: dict[tuple, SweepRecord]) -> None:
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for key in sorted(entries):
-        obj = {"key": list(key)}
-        obj.update(asdict(entries[key]))
-        lines.append(json.dumps(obj, sort_keys=True))
+    # the fields are plain ints, floats, bools and strs: vars() is what
+    # dataclasses.asdict would build, without its recursive copy
+    lines = [
+        json.dumps({"key": list(key), **vars(entries[key])}, sort_keys=True)
+        for key in sorted(entries)
+    ]
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
@@ -277,6 +286,8 @@ def run_sweep(
     missing = [(m, a) for m, a in tasks if _cache_key(m, a) not in cache]
     if missing:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(_record_task, missing, chunksize=8))
         else:

@@ -83,18 +83,58 @@ class ConvexPolygon:
         return len(self.vertices) < 3
 
 
+def _staircases(pts: list[Point]) -> list[Point]:
+    """The points of a sorted, duplicate-free list that set a new strict
+    minimum or maximum of y when it is scanned from the left or from the
+    right, in sorted order (Kung, Luccio and Preparata's maxima, JACM 22(4),
+    1975, for the four quadrants)."""
+    ys = [y for _, y in pts]
+    keep = bytearray(len(ys))
+    for order in (range(len(ys)), range(len(ys) - 1, -1, -1)):
+        lo = hi = ys[order[0]]
+        keep[order[0]] = 1
+        for i in order:
+            y = ys[i]
+            if y < lo:
+                lo = y
+                keep[i] = 1
+            elif y > hi:
+                hi = y
+                keep[i] = 1
+    return [p for p, k in zip(pts, keep) if k]
+
+
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
-    """Monotone-chain hull of a nonempty point set, extreme points only."""
+    """Monotone-chain hull of a nonempty point set, extreme points only.
+
+    The chain runs only on the four staircases of the sorted points (see
+    `_staircases`), which hold every extreme point.  The left-to-right scan
+    drops p as a new minimum only when an earlier point q != p has
+    q.y <= p.y, and earlier means q.x <= p.x: q lies in p's closed
+    lower-left quadrant.  Likewise its maximum test drops p only for a q
+    in the closed upper-left quadrant, and the right-to-left scan for a q
+    in the closed lower-right or upper-right one.  An extreme point v is
+    the unique maximiser of some linear functional w != 0, and w points
+    into one closed quadrant; any q != v in v's quadrant of that direction
+    would give w.q >= w.v, so there is none, and that quadrant's scan keeps
+    v.  The subset therefore has the same hull, and the chain returns it in
+    the same canonical form.
+    """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) == 1:
         return ConvexPolygon((pts[0],))
+    pts = _staircases(pts)
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            px, py = p
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

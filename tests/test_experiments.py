@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from modhull import experiments, ntheory
+from modhull._version import __version__
 from modhull.experiments import (
     CSV_COLUMNS,
     APolicy,
@@ -123,6 +126,33 @@ def test_sweep_cache_file_is_jsonl(tmp_path):
     assert len(lines) == 3
     obj = json.loads(lines[0])
     assert obj["m"] == 10 and "key" in obj
+
+
+def test_sweep_cache_lines_keep_their_format(tmp_path):
+    # the format dataclasses.asdict gives, so existing caches of this version replay
+    cache = tmp_path / "cache.jsonl"
+    records = run_sweep(3, 13, APolicy("all"), cache_file=cache)
+    expected = [
+        json.dumps({"key": [r.m, r.a, __version__], **dataclasses.asdict(r)}, sort_keys=True)
+        for r in records
+    ]
+    assert cache.read_text(encoding="ascii").split("\n") == expected + [""]
+
+
+def test_sweep_factors_each_modulus_once(monkeypatch):
+    calls = []
+    real = ntheory.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    # arithmetic_profile calls factorize through ntheory's own binding
+    monkeypatch.setattr(ntheory, "factorize", counting)
+    monkeypatch.setattr(experiments, "factorize", counting)
+    records = run_sweep(3, 40, APolicy("all"), use_cache=False)
+    assert len(records) == sum(len(APolicy("all").a_values(m)) for m in range(3, 41))
+    assert len(calls) <= 2 * len(range(3, 41))
 
 
 def test_sweep_recovers_from_damaged_cache(tmp_path):

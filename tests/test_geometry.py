@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +122,63 @@ def test_hull_permutation_invariant(pts, rnd):
 @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=10))
 def test_hull_extreme_points_only(pts):
     assert sorted(convex_hull(pts).vertices) == brute_force_extreme_points(pts)
+
+
+def reference_hull(pts):
+    """Andrew's monotone chain over every point, with no prefilter: the
+    reference that convex_hull, with its staircase prefilter, must match."""
+    pts = sorted(set(pts))
+    if len(pts) == 1:
+        return (pts[0],)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = chain(pts), chain(reversed(pts))
+    if len(lower) == 2 and len(upper) == 2:
+        return (pts[0], pts[-1])
+    return tuple(lower[:-1] + upper[:-1])
+
+
+coord = st.integers(-6, 6)
+hull_inputs = st.one_of(
+    points_strategy,
+    st.lists(st.tuples(coord, coord), min_size=1, max_size=40),  # many duplicates
+    st.builds(lambda x, ys: [(x, y) for y in ys], coord, st.lists(coord, min_size=1, max_size=12)),
+    st.builds(lambda y, xs: [(x, y) for x in xs], coord, st.lists(coord, min_size=1, max_size=12)),
+    st.builds(  # collinear runs along a line, plus a few stray points
+        lambda d, ts, extra: [(3 + d[0] * t, -2 + d[1] * t) for t in ts] + extra,
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+        st.lists(st.tuples(coord, coord), max_size=3),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(hull_inputs)
+def test_hull_matches_reference_chain(pts):
+    assert convex_hull(pts).vertices == reference_hull(pts)
+
+
+def test_hull_matches_reference_chain_on_grid_subsets():
+    grid = [(x, y) for x in range(3) for y in range(4)]
+    for mask in range(1, 1 << len(grid)):
+        pts = [p for i, p in enumerate(grid) if mask >> i & 1]
+        assert convex_hull(pts).vertices == reference_hull(pts)
+
+
+def test_hull_matches_reference_chain_on_every_unit_below_200():
+    for m in range(2, 200):
+        for a in range(1, m):
+            if math.gcd(a, m) == 1:
+                pts = enumerate_points(HyperbolaSpec(m, a))
+                assert convex_hull(pts).vertices == reference_hull(pts), (m, a)
 
 
 def test_twice_area_examples():

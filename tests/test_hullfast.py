@@ -1,4 +1,7 @@
 import math
+import random
+
+import pytest
 
 from modhull import hullfast
 from modhull.geometry import contains_point, convex_hull
@@ -163,6 +166,20 @@ def test_real_pruning_at_medium_scale():
     assert rep.equal, (rep.missing, rep.extra)
     assert rep.point_count == 50020
     assert rep.candidate_count < 200
+
+
+@pytest.mark.slow
+def test_fast_equals_naive_at_large_moduli():
+    # three seeded moduli, log-uniform in [10^6, 10^7], each with a seeded
+    # unit; the oracle enumerates every point (about 180 bytes each)
+    rng = random.Random(1000003)
+    for _ in range(3):
+        m = int(10 ** rng.uniform(6, 7))
+        a = rng.randrange(1, m)
+        while math.gcd(a, m) != 1:
+            a = rng.randrange(1, m)
+        spec = HyperbolaSpec(m, a)
+        assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
 
 
 def test_verify_report_fields():
