@@ -1,6 +1,6 @@
 """Batch sweeps of vertex counts v_a(m) over modulus ranges, the
-lower-bound census v_1(m) >= 2*(tau(m-1) - 1), exponent summaries, and a
-restartable flat-file cache.
+lower-bound census v_1(m) >= 2*(tau(m-1) - 1), exponent summaries, and an
+append-only cache that keeps every record of interrupted and concurrent sweeps.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -11,6 +11,7 @@ platform.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .geometry import convex_hull
-from .hullfast import candidate_points, fast_hull, hull_method
+from .hullfast import candidate_points, hull_method
 from .hyperbola import HyperbolaSpec
 from .ntheory import ArithmeticProfile, arithmetic_profile, factorize
 
@@ -209,7 +210,7 @@ def compute_record(m: int, a: int) -> SweepRecord:
     )
 
 
-# --- cache: one JSON record per line, atomically rewritten on update ---
+# --- cache: one JSON record per line, appended as each record is computed ---
 
 
 def default_cache_file() -> Path:
@@ -221,42 +222,31 @@ def _cache_key(m: int, a: int) -> tuple:
 
 
 def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
+    """The records in the cache file.  Of two lines with one key the later
+    wins; a damaged line (torn, not ASCII, not a JSON record) is skipped."""
     out: dict[tuple, SweepRecord] = {}
     if not path.exists():
         return out
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("ascii"))
                 key = tuple(obj.pop("key"))
                 out[key] = SweepRecord(**obj)
-            except (ValueError, TypeError, KeyError):
-                continue  # stale or damaged entry: drop it and recompute
+            except (ValueError, TypeError, KeyError, AttributeError):
+                continue  # blank or damaged line: skip it, so its record is recomputed
     return out
 
 
-def _store_cache(path: Path, entries: dict[tuple, SweepRecord]) -> None:
-    import tempfile
-
+def _open_for_append(path: Path):
+    """The cache file, unbuffered and in append mode: each write() is one
+    system call, so the lines of two sweeps appending at once never mix."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # the fields are plain ints, floats, bools and strs: vars() is what
-    # dataclasses.asdict would build, without its recursive copy
-    lines = [
-        json.dumps({"key": list(key), **vars(entries[key])}, sort_keys=True)
-        for key in sorted(entries)
-    ]
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    fh = open(path, "a+b", buffering=0)  # positioned at the end of the file
+    fh.seek(max(fh.tell() - 1, 0))
+    if fh.read(1) not in (b"", b"\n"):
+        fh.write(b"\n")  # end a line torn by a killed sweep
+    return fh
 
 
 def _record_task(args: tuple) -> SweepRecord:
@@ -274,8 +264,9 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """One record per (m, a) over m in [m_min, m_max], ordered by (m, a).
 
-    Cached records are replayed verbatim (including timings); misses are
-    computed, possibly across worker processes, and appended to the cache.
+    Cached records are replayed verbatim (including timings).  Misses are
+    computed, possibly across worker processes, and each one is appended to
+    the cache as it arrives, so an interrupted sweep keeps what it computed.
     """
     if not 2 <= m_min <= m_max:
         raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
@@ -285,17 +276,23 @@ def run_sweep(
 
     missing = [(m, a) for m, a in tasks if _cache_key(m, a) not in cache]
     if missing:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(_record_task, missing, chunksize=8))
-        else:
-            computed = [compute_record(m, a) for m, a in missing]
-        for rec in computed:
-            cache[_cache_key(rec.m, rec.a)] = rec
-        if use_cache:
-            _store_cache(cache_path, cache)
+                pool = ProcessPoolExecutor(max_workers=workers)
+                stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
+                computed = pool.map(_record_task, missing, chunksize=8)
+            else:
+                computed = map(_record_task, missing)
+            out = stack.enter_context(_open_for_append(cache_path)) if use_cache else None
+            for rec in computed:
+                key = _cache_key(rec.m, rec.a)
+                cache[key] = rec
+                if out is not None:
+                    # the fields are flat: vars() is dataclasses.asdict without its deep copy
+                    line = json.dumps({"key": list(key), **vars(rec)}, sort_keys=True)
+                    out.write(line.encode("ascii") + b"\n")
     return [cache[_cache_key(m, a)] for m, a in sorted(tasks)]
 
 
@@ -321,11 +318,11 @@ def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int
     violations = []
     equality = 0
     for m in range(m_min, m_max + 1):
-        v = fast_hull(HyperbolaSpec(m, 1)).vertex_count
-        bound = 2 * (factorize(m - 1).tau - 1)
-        if v < bound:
-            violations.append((m, v, bound))
-        elif v == bound:
+        rec = compute_record(m, 1)
+        bound = 2 * (rec.tau_m_minus_1 - 1)
+        if rec.v < bound:
+            violations.append((m, rec.v, bound))
+        elif rec.v == bound:
             equality += 1
     return violations, equality
 

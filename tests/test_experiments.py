@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modhull
 from modhull import experiments, ntheory
 from modhull._version import __version__
 from modhull.experiments import (
@@ -155,12 +160,104 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
     assert len(calls) <= 2 * len(range(3, 41))
 
 
-def test_sweep_recovers_from_damaged_cache(tmp_path):
+def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     r1 = run_sweep(10, 12, APolicy("one"), cache_file=cache)
-    cache.write_text('not json\n' + cache.read_text() + '{"key": [1]}\n')
+    lines = cache.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"naive"', b'"na\xffve"')  # the m = 12 record
+    # valid JSON that is not an object, and a stray non-ASCII byte
+    damaged = [b"not json", b"123", b"null", b'"x"', b"[1]", b"\xff"]
+    cache.write_bytes(b"\n".join(damaged + lines) + b'{"key": [1]}\n')
+    computed = []
+    real = experiments.compute_record
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append(m) or real(m, a))
     r2 = run_sweep(10, 12, APolicy("one"), cache_file=cache)
     assert [(r.m, r.a, r.v) for r in r1] == [(r.m, r.a, r.v) for r in r2]
+    assert computed == [12] and r2[:2] == r1[:2]
+
+
+def _forbid_compute(monkeypatch):
+    def fail(m, a):
+        raise AssertionError(f"record ({m}, {a}) was recomputed")
+
+    monkeypatch.setattr(experiments, "compute_record", fail)
+
+
+def test_sweep_appends_after_torn_last_line(tmp_path, monkeypatch):
+    # a sweep killed in the middle of a write leaves a last line without "\n"
+    cache = tmp_path / "cache.jsonl"
+    run_sweep(10, 12, APolicy("one"), cache_file=cache)
+    cache.write_bytes(cache.read_bytes()[:-20])
+    wide = run_sweep(10, 16, APolicy("one"), cache_file=cache)
+    _forbid_compute(monkeypatch)
+    assert run_sweep(10, 12, APolicy("one"), cache_file=cache) == wide[:3]
+    assert run_sweep(10, 16, APolicy("one"), cache_file=cache) == wide
+
+
+def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    real = experiments.compute_record
+    done = []
+
+    def compute_ten(m, a):
+        if len(done) == 10:
+            raise KeyboardInterrupt
+        done.append(real(m, a))
+        return done[-1]
+
+    monkeypatch.setattr(experiments, "compute_record", compute_ten)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(3, 60, APolicy("one"), cache_file=cache)
+    assert experiments._load_cache(cache) == {(r.m, r.a, __version__): r for r in done}
+
+
+def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):
+    # the first record of the outer sweep runs a whole second sweep into the
+    # same cache file: the outer one loaded the cache before the inner one wrote
+    cache = tmp_path / "cache.jsonl"
+    real = experiments.compute_record
+    inner = []
+
+    def compute(m, a):
+        if not inner:
+            inner.append(None)
+            inner[:] = run_sweep(30, 50, APolicy("one"), cache_file=cache)
+        return real(m, a)
+
+    monkeypatch.setattr(experiments, "compute_record", compute)
+    outer = run_sweep(10, 40, APolicy("one"), cache_file=cache)
+    _forbid_compute(monkeypatch)
+    assert run_sweep(10, 40, APolicy("one"), cache_file=cache) == outer  # later line wins
+    replay = run_sweep(30, 50, APolicy("one"), cache_file=cache)
+    assert replay[11:] == inner[11:]
+    assert [(r.m, r.v) for r in replay] == [(r.m, r.v) for r in inner]
+
+
+def _mask_elapsed(text: str) -> str:
+    """Cache lines or CSV text with every elapsed_ns set to 0."""
+    return re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', re.sub(r",\d+$", ",0", text, flags=re.M))
+
+
+def test_two_processes_sweep_into_one_cache(tmp_path, monkeypatch):
+    # two CLI sweeps over overlapping ranges append to one cache at once
+    import_root = Path(modhull.__path__[0]).resolve().parent  # as in criterion 9
+    env = {"MODHULL_CACHE_DIR": str(tmp_path / "cache"), "PATH": "/usr/bin:/bin", "PYTHONPATH": str(import_root)}
+    ranges = [(3, 90), (60, 120)]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "modhull.cli", "sweep", "--m-min", str(lo), "--m-max", str(hi),
+             "--a-policy", "all", "--out", str(tmp_path / f"{lo}.csv")],
+            env=env, cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for lo, hi in ranges
+    ]
+    for child in children:
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+    _forbid_compute(monkeypatch)
+    for lo, hi in ranges:
+        replay = run_sweep(lo, hi, APolicy("all"), cache_file=tmp_path / "cache" / "sweep-cache.jsonl")
+        assert _mask_elapsed(records_to_csv(replay)) == _mask_elapsed((tmp_path / f"{lo}.csv").read_text())
 
 
 def test_sweep_without_cache(tmp_path):
@@ -170,12 +267,41 @@ def test_sweep_without_cache(tmp_path):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    serial = run_sweep(10, 60, APolicy("one"), use_cache=False, cache_file=tmp_path / "a.jsonl")
-    parallel = run_sweep(
-        10, 60, APolicy("one"), workers=2, use_cache=False, cache_file=tmp_path / "b.jsonl"
-    )
+    serial = run_sweep(10, 60, APolicy("one"), cache_file=tmp_path / "a.jsonl")
+    parallel = run_sweep(10, 60, APolicy("one"), workers=2, cache_file=tmp_path / "b.jsonl")
     strip = lambda recs: [(r.m, r.a, r.v, r.phi, r.candidate_count) for r in recs]
     assert strip(serial) == strip(parallel)
+    # both paths append the same lines, in the same order
+    assert _mask_elapsed((tmp_path / "b.jsonl").read_text()) == _mask_elapsed((tmp_path / "a.jsonl").read_text())
+
+
+def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
+    # the workers inherit the patched compute_record when they are forked
+    log = tmp_path / "computed.log"
+    real = experiments.compute_record
+
+    def logged(m, a):
+        with open(log, "a") as fh:
+            fh.write(f"{m} {a}\n")
+        return real(m, a)
+
+    class FullDisk:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(experiments, "compute_record", logged)
+    monkeypatch.setattr(experiments, "_open_for_append", lambda path: FullDisk())
+    with pytest.raises(OSError):
+        run_sweep(3, 120, APolicy("all"), workers=2, cache_file=tmp_path / "c.jsonl")
+    total = sum(len(APolicy("all").a_values(m)) for m in range(3, 121))
+    computed = len(log.read_text().splitlines()) if log.exists() else 0
+    assert computed < total // 4  # the queued tasks were cancelled, not run
 
 
 def test_sweep_rejects_bad_range():
