@@ -54,11 +54,7 @@ from .hullfast import (
 from .hyperbola import (
     ENUMERATION_CEILING,
     MODULUS_CEILING,
-    NEGATE,
-    REFLECT_Y,
-    SWAP,
     HyperbolaSpec,
-    apply_symmetry,
     count_in_box,
     enumerate_points,
     format_points,

@@ -16,9 +16,11 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from ._version import __version__
 from .geometry import convex_hull
@@ -122,25 +124,11 @@ def sample_coprime(m: int, k: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-CSV_COLUMNS = (
-    "m",
-    "a",
-    "v",
-    "phi",
-    "tau_m_minus_1",
-    "kernel",
-    "t",
-    "squarefree",
-    "exponent",
-    "norm512",
-    "method",
-    "candidate_count",
-    "elapsed_ns",
-)
-
-
 @dataclass(frozen=True)
 class SweepRecord:
+    """One sweep record.  The field declarations are the whole schema: the
+    CSV columns, the CSV row format and the types a cache line must have."""
+
     m: int
     a: int
     v: int
@@ -156,23 +144,14 @@ class SweepRecord:
     elapsed_ns: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.m),
-                str(self.a),
-                str(self.v),
-                str(self.phi),
-                str(self.tau_m_minus_1),
-                str(self.kernel),
-                str(self.t),
-                "1" if self.squarefree else "0",
-                f"{self.exponent:.6g}",
-                f"{self.norm512:.6g}",
-                self.method,
-                str(self.candidate_count),
-                str(self.elapsed_ns),
-            )
-        )
+        return _ROW_FORMAT % _field_values(self)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+_FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
+_field_values = attrgetter(*CSV_COLUMNS)
+# booleans print as 0/1 and reals to six significant digits
+_ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
 
 
 @lru_cache(maxsize=1)
@@ -223,7 +202,10 @@ def _cache_key(m: int, a: int) -> tuple:
 
 def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
     """The records in the cache file.  Of two lines with one key the later
-    wins; a damaged line (torn, not ASCII, not a JSON record) is skipped."""
+    wins.  A damaged line is skipped, so its record is recomputed: one that is
+    torn, not ASCII or not a JSON record, one with a field of the wrong type
+    or a non-ASCII method (csv_row and write_csv rely on both), and one whose
+    key names another (m, a) than its fields."""
     out: dict[tuple, SweepRecord] = {}
     if not path.exists():
         return out
@@ -232,9 +214,15 @@ def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
             try:
                 obj = json.loads(line.decode("ascii"))
                 key = tuple(obj.pop("key"))
-                out[key] = SweepRecord(**obj)
+                rec = SweepRecord(**obj)
+                if (
+                    tuple(map(type, _field_values(rec))) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
+                    and rec.method.isascii()
+                    and key[:2] == (rec.m, rec.a)
+                ):
+                    out[key] = rec
             except (ValueError, TypeError, KeyError, AttributeError):
-                continue  # blank or damaged line: skip it, so its record is recomputed
+                continue  # blank or damaged line
     return out
 
 
@@ -344,15 +332,14 @@ def exponent_summary(records: list[SweepRecord]) -> dict:
     if not records:
         raise ValueError("no records to summarize")
     by_sf: dict[str, list[SweepRecord]] = {}
-    by_dyadic: dict[str, list[SweepRecord]] = {}
+    by_dyadic: dict[int, list[SweepRecord]] = {}  # j -> the records with 2^j <= m < 2^(j+1)
     for r in records:
         by_sf.setdefault("squarefree" if r.squarefree else "non_squarefree", []).append(r)
-        j = r.m.bit_length() - 1
-        by_dyadic.setdefault(f"[2^{j},2^{j + 1})", []).append(r)
+        by_dyadic.setdefault(r.m.bit_length() - 1, []).append(r)
     return {
         "overall": _stats(records),
         "by_squarefree": {k: _stats(v) for k, v in sorted(by_sf.items())},
-        "by_dyadic": {k: _stats(v) for k, v in sorted(by_dyadic.items(), key=lambda kv: int(kv[0].split("^")[1].split(",")[0]))},
+        "by_dyadic": {f"[2^{j},2^{j + 1})": _stats(v) for j, v in sorted(by_dyadic.items())},
     }
 
 

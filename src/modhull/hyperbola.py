@@ -1,5 +1,5 @@
 """The point set H_a(m) = {(x, y) : xy = a (mod m), 1 <= x, y <= m-1},
-its symmetries, exact box counts, and the equidistribution main term.
+exact box counts, and the equidistribution main term.
 
 Points are plain (x, y) integer tuples; a PointSet is a sorted tuple of
 them.  A shared one-point-per-line text format ("x y\\n") is provided for
@@ -21,11 +21,6 @@ __all__ = [
     "Point",
     "PointSet",
     "HyperbolaSpec",
-    "SWAP",
-    "NEGATE",
-    "REFLECT_Y",
-    "SYMMETRY_KINDS",
-    "apply_symmetry",
     "enumerate_points",
     "count_in_box",
     "predicted_count",
@@ -67,24 +62,6 @@ class HyperbolaSpec:
         object.__setattr__(self, "a", a)
 
 
-# symmetry kinds
-SWAP = "swap"  # (x, y) -> (y, x), maps H_a(m) to itself
-NEGATE = "negate"  # (x, y) -> (m-x, m-y), maps H_a(m) to itself
-REFLECT_Y = "reflect_y"  # (x, y) -> (x, m-y), maps H_a(m) to H_{m-a}(m)
-SYMMETRY_KINDS = (SWAP, NEGATE, REFLECT_Y)
-
-
-def apply_symmetry(kind: str, p: Point, m: int) -> Point:
-    x, y = p
-    if kind == SWAP:
-        return (y, x)
-    if kind == NEGATE:
-        return (m - x, m - y)
-    if kind == REFLECT_Y:
-        return (x, m - y)
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
 @lru_cache(maxsize=4096)
 def _phi(m: int) -> int:
     return arithmetic_profile(m).phi
@@ -96,9 +73,12 @@ def _units_and_inverses(m: int, upper: int) -> tuple[list[int], list[int]]:
     return xs, batch_mod_inv(xs, m)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _full_inverse_table(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # sweeps visit several residues per modulus; share the inversion pass
+    # Sweeps visit several residues per modulus; share the inversion pass.
+    # Every caller (sweeps, compute_record, verify_against_naive, modhull
+    # verify, the bench oracle) visits one modulus's residues in a row, so
+    # only the last table is reused and an older one would only hold memory.
     xs, invs = _units_and_inverses(m, m - 1)
     return tuple(xs), tuple(invs)
 

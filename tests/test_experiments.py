@@ -15,6 +15,7 @@ from modhull.experiments import (
     CSV_COLUMNS,
     APolicy,
     SplitMix64,
+    SweepRecord,
     compute_record,
     exponent_summary,
     lower_bound_census,
@@ -102,6 +103,14 @@ def test_csv_schema_and_formatting(tmp_path):
     assert row["m"] == "10" and row["squarefree"] in ("0", "1")
     float(row["exponent"])  # parses as a real
     int(row["elapsed_ns"])
+    # exact bytes: an int-valued real, booleans as 0/1, six significant digits
+    rec = SweepRecord(
+        m=7, a=1, v=1, phi=6, tau_m_minus_1=4, kernel=7, t=1, squarefree=True, exponent=0.0,
+        norm512=1.2345678e-07, method="naive", candidate_count=6, elapsed_ns=1500,
+    )
+    assert rec.csv_row() == "7,1,1,6,4,7,1,1,0,1.23457e-07,naive,6,1500"
+    rec = dataclasses.replace(rec, m=12, squarefree=False, exponent=math.log(6) / math.log(7), norm512=math.pi * 1e8)
+    assert rec.csv_row() == "12,1,1,6,4,7,1,0,0.920782,3.14159e+08,naive,6,1500"
 
 
 def test_sweep_determinism_with_cache(tmp_path):
@@ -144,6 +153,14 @@ def test_sweep_cache_lines_keep_their_format(tmp_path):
     assert cache.read_text(encoding="ascii").split("\n") == expected + [""]
 
 
+def test_pyproject_version_is_the_cache_version():
+    # the cache key is (m, a, __version__): a bump in only one of the two
+    # files would replay records of the old version as current ones
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
+
+
 def test_sweep_factors_each_modulus_once(monkeypatch):
     calls = []
     real = ntheory.factorize
@@ -162,18 +179,25 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
 
 def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
-    r1 = run_sweep(10, 12, APolicy("one"), cache_file=cache)
-    lines = cache.read_bytes().split(b"\n")
-    lines[2] = lines[2].replace(b'"naive"', b'"na\xffve"')  # the m = 12 record
+    r1 = run_sweep(10, 17, APolicy("one"), cache_file=cache)
+    lines = cache.read_bytes().split(b"\n")  # the records for m = 10, ..., 17
+    lines[2] = lines[2].replace(b'"naive"', b'"na\xffve"')
+    # well-formed JSON records that break the schema: fields of the wrong type,
+    # a non-ASCII method, and a key that disagrees with the record's m
+    lines[3] = re.sub(rb'"v": \d+', b'"v": "x"', lines[3])
+    lines[4] = re.sub(rb'"v": (\d+)', rb'"v": \1.0', lines[4])
+    lines[5] = re.sub(rb'"squarefree": \w+', b'"squarefree": 7', lines[5])
+    lines[6] = lines[6].replace(b'"naive"', b'"na\\u00efve"')
+    lines[7] = lines[7].replace(b'"m": 17,', b'"m": 16,')
     # valid JSON that is not an object, and a stray non-ASCII byte
     damaged = [b"not json", b"123", b"null", b'"x"', b"[1]", b"\xff"]
     cache.write_bytes(b"\n".join(damaged + lines) + b'{"key": [1]}\n')
     computed = []
     real = experiments.compute_record
     monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append(m) or real(m, a))
-    r2 = run_sweep(10, 12, APolicy("one"), cache_file=cache)
+    r2 = run_sweep(10, 17, APolicy("one"), cache_file=cache)
     assert [(r.m, r.a, r.v) for r in r1] == [(r.m, r.a, r.v) for r in r2]
-    assert computed == [12] and r2[:2] == r1[:2]
+    assert computed == [12, 13, 14, 15, 16, 17] and r2[:2] == r1[:2]
 
 
 def _forbid_compute(monkeypatch):

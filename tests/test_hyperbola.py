@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 from modhull import hyperbola
 from modhull.hyperbola import (
     ENUMERATION_CEILING,
-    NEGATE,
-    REFLECT_Y,
-    SWAP,
     HyperbolaSpec,
-    apply_symmetry,
     count_in_box,
     enumerate_points,
     format_points,
@@ -104,14 +100,6 @@ def test_predicted_count_examples():
     assert predicted_count(spec, 0, 9) == 0
 
 
-def test_apply_symmetry_examples():
-    assert apply_symmetry(SWAP, (2, 4), 7) == (4, 2)
-    assert apply_symmetry(NEGATE, (2, 4), 7) == (5, 3)
-    assert apply_symmetry(REFLECT_Y, (2, 3), 7) == (2, 4)
-    with pytest.raises(ValueError):
-        apply_symmetry("bogus", (1, 1), 7)
-
-
 @settings(max_examples=60)
 @given(st.integers(2, 10_000), st.data())
 def test_symmetry_memberships(m, data):
@@ -119,17 +107,20 @@ def test_symmetry_memberships(m, data):
     spec = HyperbolaSpec(m, a)
     pts = enumerate_points(spec)
     sample = pts[:: max(1, len(pts) // 16)]
+    swap = lambda x, y: (y, x)  # maps H_a(m) to itself
+    negate = lambda x, y: (m - x, m - y)  # maps H_a(m) to itself
+    reflect_y = lambda x, y: (x, m - y)  # maps H_a(m) to H_{m-a}(m)
     for p in sample:
-        sw = apply_symmetry(SWAP, p, m)
-        ne = apply_symmetry(NEGATE, p, m)
-        ry = apply_symmetry(REFLECT_Y, p, m)
+        sw = swap(*p)
+        ne = negate(*p)
+        ry = reflect_y(*p)
         assert sw[0] * sw[1] % m == spec.a
         assert ne[0] * ne[1] % m == spec.a
         assert ry[0] * ry[1] % m == (m - spec.a) % m
         # involutions
-        assert apply_symmetry(SWAP, sw, m) == p
-        assert apply_symmetry(NEGATE, ne, m) == p
-        assert apply_symmetry(REFLECT_Y, ry, m) == p
+        assert swap(*sw) == p
+        assert negate(*ne) == p
+        assert reflect_y(*ry) == p
 
 
 def test_point_text_roundtrip():
