@@ -8,20 +8,41 @@ points are the divisor pairs of a + m*l for l <= (c - a)/m; the other three
 corners are the same walk on H_a(m) and H_{m-a}(m), read through
 (x, y) -> (m-x, m-y), (x, m-y) and (m-x, y).
 
-The certificate: if the centre (m/2, m/2) lies in the hull P of the
-candidates and f <= c on every edge of P, then no point of H_a(m) lies
-outside P.  For q outside P the segment from the centre to q leaves P at
-a boundary point b in q's quadrant, and b is at least as far from that
-quadrant's corner as q in both coordinates, so f(q) <= f(b) <= c: q would
-be a candidate, hence inside P.  The search starts at c = m and doubles c
-until the certificate holds, falling back to full enumeration once
-c >= (m-1)^2.  Small moduli skip the search and hull every point.
+The certificate: the hull P of the candidates contains K, the points of
+the open square (0, m)^2 with f > c.  Then a point of H_a(m) outside P has
+f <= c, so it is a candidate and lies in P after all: P is the hull.
+
+K is empty when 4c >= m^2, since f <= m^2/4.  Otherwise (and c > 0) K is
+convex, the intersection of the hyperbola epigraphs x*y > c,
+(m-x)*y > c, x*(m-y) > c and (m-x)*(m-y) > c with positive factors, so
+containing it is the same as the centre lying in P with f <= c on the
+boundary of P.  K is bounded by four arcs, one per quadrant, that meet at
+the corners (m/2, 2c/m), (2c/m, m/2), (m/2, m - 2c/m) and (m - 2c/m, m/2).
+The corners are not collinear, so a P that holds them has interior and is
+the intersection of its edges' closed half-planes.  It contains K when K
+lies behind every edge, and on K a linear function is largest at a corner
+or where an arc's outward normal points along the function's direction.
+The lower-left arc x*y = c has outward normal -(y, x), strictly inside the
+third quadrant, and likewise for the others: only the arc of the quadrant
+that an edge's outward normal points into can reach past the edge, and
+none when the edge is horizontal or vertical.  Reflected onto the
+lower-left corner, (X, Y) = (x or m-x, y or m-y), an edge with direction
+(dx, dy) keeps P on a*X + b*Y >= G, where a = |dy|, b = |dx| and G is the
+value at the edge.  On X*Y = c, a*X + b*Y is least, 2*sqrt(a*b*c), at
+X = sqrt(b*c/a), Y = sqrt(a*c/b), which is on the arc when both are at
+most m/2.  So the check, in integers, is: the four corners lie in P, and
+no edge whose tangency point is on its arc has G > 2*sqrt(a*b*c).  (For
+c <= 0, K is the whole open square; its corners lie outside [1, m-1]^2 and
+the check rejects, as it must.)
+
+The search starts at c = m and doubles c until the certificate holds,
+falling back to full enumeration once c >= (m-1)^2.  Small moduli skip the
+search and hull every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import ConvexPolygon, contains_point, convex_hull
 from .hyperbola import HyperbolaSpec, Point, PointSet, enumerate_points
@@ -79,44 +100,26 @@ def _corner_points(spec: HyperbolaSpec, c: int) -> set[Point]:
     return pts
 
 
-def _edge_within(p: Point, q: Point, m: int, c: int) -> bool:
-    """True when f <= c on the whole segment pq, decided exactly.
-
-    The midlines x = m/2 and y = m/2 cut the segment p + t*(q - p) into
-    pieces on each of which f = (u0 + du*t) * (w0 + dw*t), a quadratic in
-    t whose maximum lies at an end of the piece or at the parabola's vertex.
-    Only the cut points are fractions; a segment inside one quadrant is
-    checked in integers.
-    """
-    (x0, y0), (x1, y1) = p, q
-    dx, dy = x1 - x0, y1 - y0
-    cuts = {0, 1}
-    for s0, ds in ((x0, dx), (y0, dy)):
-        if ds and 0 < (t := Fraction(m - 2 * s0, 2 * ds)) < 1:
-            cuts.add(t)
-    ts = sorted(cuts)
-    for t0, t1 in zip(ts, ts[1:]):
-        # on one piece each factor of f is s or m - s throughout
-        u0, du = (x0, dx) if 2 * x0 + dx * (t0 + t1) <= m else (m - x0, -dx)
-        w0, dw = (y0, dy) if 2 * y0 + dy * (t0 + t1) <= m else (m - y0, -dy)
-        if any((u0 + du * t) * (w0 + dw * t) > c for t in (t0, t1)):
-            return False
-        # f = A t^2 + B t + u0*w0; when A < 0 its vertex t = -B/(2A) peaks
-        # at u0*w0 + B^2/(4|A|)
-        A, B = du * dw, u0 * dw + w0 * du
-        if A < 0 and -2 * A * t0 < B < -2 * A * t1 and B * B > 4 * A * (u0 * w0 - c):
-            return False
-    return True
-
-
 def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
-    """The certificate: the centre lies in poly and f <= c on its boundary,
-    so every lattice point of [1, m-1]^2 outside poly has f <= c."""
-    v = poly.vertices
-    doubled = ConvexPolygon(tuple((2 * x, 2 * y) for x, y in v))
-    if not contains_point(doubled, (m, m)):
+    """The certificate: poly contains K = {f > c}, so every lattice point of
+    [1, m-1]^2 outside poly has f <= c.  The corners of K are tested scaled
+    by 2m, and each edge is read in the frame of the corner its outward
+    normal points to (see the module docstring)."""
+    if 4 * c >= m * m:
+        return True  # K is empty
+    v, mm, s = poly.vertices, m * m, 2 * m
+    scaled = ConvexPolygon(tuple((s * x, s * y) for x, y in v))
+    corners = ((mm, 4 * c), (4 * c, mm), (mm, 2 * mm - 4 * c), (2 * mm - 4 * c, mm))
+    if not all(contains_point(scaled, z) for z in corners):
         return False
-    return all(_edge_within(p, q, m, c) for p, q in zip(v, v[1:] + v[:1]))
+    for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        a, b = abs(dy), abs(dx)
+        if a and b and 4 * c * a <= b * mm and 4 * c * b <= a * mm:
+            g = a * (x0 if dy < 0 else m - x0) + b * (y0 if dx > 0 else m - y0)
+            if g > 0 and g * g > 4 * a * b * c:
+                return False  # the arc's tangency point lies beyond the edge
+    return True
 
 
 def _certified_candidates(spec: HyperbolaSpec) -> PointSet:

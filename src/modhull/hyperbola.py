@@ -40,9 +40,12 @@ PointSet = tuple[Point, ...]
 # the factoring ceiling 2**63.
 MODULUS_CEILING = 2**31
 
-# Largest modulus enumerate_points accepts.  Enumeration holds phi(m) point
-# tuples plus the cached inverse table, about 180 bytes a point: one call at
-# m = 9999991 peaked at 1780 MiB RSS (CPython 3.11, 64-bit Linux).
+# Largest modulus enumerate_points accepts, and largest (clamped) U that
+# count_in_box accepts.  Enumeration holds phi(m) point tuples plus the
+# cached inverse table, about 180 bytes a point: one call at m = 9999991
+# peaked at 1780 MiB RSS.  count_in_box holds three lists over the units
+# x <= U, about 120 bytes a unit (tracemalloc peak at m = 2^31 - 1 with
+# U = 10^5 and 10^6).  CPython 3.11, 64-bit Linux.
 ENUMERATION_CEILING = 10**7
 
 
@@ -60,11 +63,6 @@ class HyperbolaSpec:
         if math.gcd(a, self.m) != 1:
             raise ValueError(f"residue {self.a} is not coprime to {self.m}")
         object.__setattr__(self, "a", a)
-
-
-@lru_cache(maxsize=4096)
-def _phi(m: int) -> int:
-    return arithmetic_profile(m).phi
 
 
 def _units_and_inverses(m: int, upper: int) -> tuple[list[int], list[int]]:
@@ -96,10 +94,16 @@ def enumerate_points(spec: HyperbolaSpec) -> PointSet:
 
 
 def count_in_box(spec: HyperbolaSpec, U: int, V: int) -> int:
-    """Exact number of H_a(m) points in [1, U] x [1, V].  U, V clamp to [0, m-1]."""
+    """Exact number of H_a(m) points in [1, U] x [1, V].  U, V clamp to [0, m-1].
+
+    Raises ValueError when the clamped U exceeds ENUMERATION_CEILING, before
+    allocating anything.
+    """
     m, a = spec.m, spec.a
     U = max(0, min(U, m - 1))
     V = max(0, min(V, m - 1))
+    if U > ENUMERATION_CEILING:
+        raise ValueError(f"box counts are limited to U <= {ENUMERATION_CEILING} (~120 bytes a unit), got U = {U}")
     if U == 0 or V == 0:
         return 0
     xs, invs = _units_and_inverses(m, U)
@@ -114,7 +118,7 @@ def predicted_count(spec: HyperbolaSpec, U: int, V: int) -> Fraction:
     m = spec.m
     U = max(0, min(U, m - 1))
     V = max(0, min(V, m - 1))
-    return Fraction(U * V * _phi(m), m * m)
+    return Fraction(U * V * arithmetic_profile(m).phi, m * m)
 
 
 # --- shared point-list text format: one "x y" pair per line ---

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modhull import hullfast
+from modhull import hullfast, hyperbola
 from modhull.cli import main
 from modhull.experiments import sample_coprime
 from modhull.geometry import ConvexPolygon
@@ -105,6 +105,20 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 def test_verify_refuses_oracle_beyond_ceiling(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--m-min", "2147483647", "--m-max", "2147483647", "--a-policy", "one"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "10000000" in err
+    assert out == ""
+
+
+def test_count_refuses_box_beyond_ceiling(capsys, monkeypatch):
+    # the unit lists must never be built: this box would need about 240 GiB
+    def build(m, upper):
+        raise AssertionError("unit lists built above the ceiling")
+
+    monkeypatch.setattr(hyperbola, "_units_and_inverses", build)
+    code, out, err = run_cli(
+        capsys, "count", "--m", "2147483647", "--a", "1", "--U", "2147483646", "--V", "5"
     )
     assert code == 2
     assert err.startswith("error:") and "10000000" in err

@@ -1,22 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from modhull import hullfast
-from modhull.geometry import contains_point, convex_hull
+from modhull.geometry import ConvexPolygon, contains_point, convex_hull
 from modhull.hullfast import (
     ENUMERATE_BELOW,
     _certifies,
     _corner_points,
-    _edge_within,
     candidate_points,
     fast_hull,
     hull_method,
     lower_left_candidates,
     verify_against_naive,
 )
-from modhull.hyperbola import HyperbolaSpec, enumerate_points
+from modhull.hyperbola import HyperbolaSpec, Point, enumerate_points
 
 
 def filtered_enumeration(spec, cutoff):
@@ -32,7 +32,8 @@ def test_lower_left_examples():
 
 
 def test_lower_left_divisor_walk_vs_filter():
-    # cutoffs below (m-1)^2 exercise the factoring walk, not the shortcut
+    # cutoffs below (m-1)^2 keep only some points; the divisor walk must
+    # find exactly those
     for m in [11, 12, 30, 97, 100, 211, 360, 719, 1009, 2048]:
         for a in {1, m - 1, 7 % m if math.gcd(7, m) == 1 else 1}:
             spec = HyperbolaSpec(m, a)
@@ -43,7 +44,8 @@ def test_lower_left_divisor_walk_vs_filter():
 
 
 def test_lower_left_shortcut_boundary():
-    # at cutoff = (m-1)^2 every point qualifies either way
+    # at cutoff = (m-1)^2 every point has x*y <= cutoff, so the walk returns
+    # the full enumeration; one below, exactly the filtered points
     for m, a in [(13, 1), (20, 3), (59, 58)]:
         spec = HyperbolaSpec(m, a)
         full = enumerate_points(spec)
@@ -78,6 +80,50 @@ def lattice_max_outside(poly, m):
             else:
                 break  # no lattice point of the column is inside
     return best
+
+
+# The edge-scan certificate the package used before the convex one, kept
+# as an independent reference: it maximises f along every edge of P.
+
+
+def reference_edge_within(p: Point, q: Point, m: int, c: int) -> bool:
+    """True when f <= c on the whole segment pq, decided exactly.
+
+    The midlines x = m/2 and y = m/2 cut the segment p + t*(q - p) into
+    pieces on each of which f = (u0 + du*t) * (w0 + dw*t), a quadratic in
+    t whose maximum lies at an end of the piece or at the parabola's vertex.
+    Only the cut points are fractions; a segment inside one quadrant is
+    checked in integers.
+    """
+    (x0, y0), (x1, y1) = p, q
+    dx, dy = x1 - x0, y1 - y0
+    cuts = {0, 1}
+    for s0, ds in ((x0, dx), (y0, dy)):
+        if ds and 0 < (t := Fraction(m - 2 * s0, 2 * ds)) < 1:
+            cuts.add(t)
+    ts = sorted(cuts)
+    for t0, t1 in zip(ts, ts[1:]):
+        # on one piece each factor of f is s or m - s throughout
+        u0, du = (x0, dx) if 2 * x0 + dx * (t0 + t1) <= m else (m - x0, -dx)
+        w0, dw = (y0, dy) if 2 * y0 + dy * (t0 + t1) <= m else (m - y0, -dy)
+        if any((u0 + du * t) * (w0 + dw * t) > c for t in (t0, t1)):
+            return False
+        # f = A t^2 + B t + u0*w0; when A < 0 its vertex t = -B/(2A) peaks
+        # at u0*w0 + B^2/(4|A|)
+        A, B = du * dw, u0 * dw + w0 * du
+        if A < 0 and -2 * A * t0 < B < -2 * A * t1 and B * B > 4 * A * (u0 * w0 - c):
+            return False
+    return True
+
+
+def reference_certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
+    """The certificate: the centre lies in poly and f <= c on its boundary,
+    so every lattice point of [1, m-1]^2 outside poly has f <= c."""
+    v = poly.vertices
+    doubled = ConvexPolygon(tuple((2 * x, 2 * y) for x, y in v))
+    if not contains_point(doubled, (m, m)):
+        return False
+    return all(reference_edge_within(p, q, m, c) for p, q in zip(v, v[1:] + v[:1]))
 
 
 def test_candidates_are_genuine_points():
@@ -132,16 +178,53 @@ def test_certificate_soundness_lattice_oracle():
     assert accepted > 1000 and rejected > 1000
 
 
+def test_certificate_matches_reference():
+    # the convex certificate (P contains {f > c}) decides as the edge scan
+    # does wherever {f > c} is non-empty, and accepts where it is empty
+    accepted = rejected = 0
+    for m in range(3, 34):
+        for a in (a for a in range(1, m) if math.gcd(a, m) == 1):
+            spec = HyperbolaSpec(m, a)
+            for k in (1, 2, 3, 4, 6, 8, 16):
+                for c in (m * k // 2 - 1, m * k // 2, m * k // 2 + 1):
+                    for pts in (_corner_points(spec, c), lower_left_candidates(spec, c)):
+                        if not pts:
+                            continue
+                        poly = convex_hull(pts)
+                        if 4 * c >= m * m:
+                            assert _certifies(poly, m, c), (m, a, c, poly)
+                        elif _certifies(poly, m, c):
+                            accepted += 1
+                            assert reference_certifies(poly, m, c), (m, a, c, poly)
+                        else:
+                            rejected += 1
+                            assert not reference_certifies(poly, m, c), (m, a, c, poly)
+    assert accepted > 3000 and rejected > 7000
+
+
+def test_certificate_needs_every_corner():
+    # m = 10, c = 10: {f > 10} has corners (5, 2), (2, 5), (5, 8), (8, 5).
+    # Each rectangle below holds the centre and three corners but not the
+    # fourth, where an axis-parallel edge (no tangency test) crosses an arc
+    # (f = 15 at (7, 5)); the square [1, 9]^2 holds all four.
+    def box(x0, x1, y0, y1):
+        return convex_hull([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+
+    for poly in (box(1, 7, 1, 9), box(3, 9, 1, 9), box(1, 9, 1, 7), box(1, 9, 3, 9)):
+        assert not _certifies(poly, 10, 10) and not reference_certifies(poly, 10, 10)
+    assert _certifies(box(1, 9, 1, 9), 10, 10) and reference_certifies(box(1, 9, 1, 9), 10, 10)
+
+
 def test_edge_maximum_examples():
     # the certificate bounds f on the real segment, not only at its lattice
     # points: along x + y = 5 (m = 10) f = x*(5-x) peaks at 25/4 between
     # (2, 3) and (3, 2); across the midline x = 5, f = 5*min(x, 10-x) peaks
     # at the crossing
-    assert not _edge_within((1, 4), (4, 1), 10, 6)
-    assert _edge_within((1, 4), (4, 1), 10, 7)
-    assert not _edge_within((1, 5), (9, 5), 10, 24)
-    assert _edge_within((1, 5), (9, 5), 10, 25)
-    assert _edge_within((3, 7), (3, 7), 10, 9) and not _edge_within((3, 7), (3, 7), 10, 8)
+    assert not reference_edge_within((1, 4), (4, 1), 10, 6)
+    assert reference_edge_within((1, 4), (4, 1), 10, 7)
+    assert not reference_edge_within((1, 5), (9, 5), 10, 24)
+    assert reference_edge_within((1, 5), (9, 5), 10, 25)
+    assert reference_edge_within((3, 7), (3, 7), 10, 9) and not reference_edge_within((3, 7), (3, 7), 10, 8)
 
 
 def test_corner_points_are_exactly_small_f():

@@ -143,3 +143,19 @@ def test_enumeration_ceiling_fires_before_allocating(monkeypatch):
     assert calls == []
     assert enumerate_points(HyperbolaSpec(ENUMERATION_CEILING, 1)) == ()  # allowed up to the ceiling
     assert calls == [ENUMERATION_CEILING]
+
+
+def test_box_count_ceiling_fires_before_allocating(monkeypatch):
+    # the unit lists are where box counting allocates; above the ceiling
+    # (after U is clamped to m - 1) they must never be built
+    calls = []
+    monkeypatch.setattr(hyperbola, "_units_and_inverses", lambda m, upper: calls.append(upper) or ([], []))
+    big = HyperbolaSpec(2**31 - 1, 1)
+    for U in (ENUMERATION_CEILING + 1, 2**31 - 2, 2**40):
+        with pytest.raises(ValueError, match="box counts are limited"):
+            count_in_box(big, U, 5)
+    assert calls == []
+    assert count_in_box(big, ENUMERATION_CEILING, 5) == 0  # allowed up to the ceiling
+    assert calls == [ENUMERATION_CEILING]
+    count_in_box(HyperbolaSpec(7, 1), 2**40, 5)  # a small modulus clamps U to 6 first
+    assert calls[-1] == 6
