@@ -22,7 +22,7 @@ from .experiments import (
 )
 from .geometry import twice_area
 from .hullfast import fast_hull, hull_method, verify_against_naive
-from .hyperbola import HyperbolaSpec, count_in_box, predicted_count, read_points_file
+from .hyperbola import ENUMERATION_CEILING, HyperbolaSpec, count_in_box, predicted_count, read_points_file
 
 __all__ = ["main"]
 
@@ -63,6 +63,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.m_max > ENUMERATION_CEILING:  # before any residue list is built
+        raise ValueError(f"verify enumerates every point: m <= {ENUMERATION_CEILING}, got --m-max {args.m_max}")
     policy = APolicy.parse(args.a_policy, seed=args.seed)
     mismatches = 0
     checked = 0

@@ -36,8 +36,10 @@ c <= 0, K is the whole open square; its corners lie outside [1, m-1]^2 and
 the check rejects, as it must.)
 
 The search starts at c = m and doubles c until the certificate holds,
-falling back to full enumeration once c >= (m-1)^2.  Small moduli skip the
-search and hull every point.
+falling back to full enumeration once c >= (m-1)^2.  The points are kept
+from round to round, so each round factors only the new a + m*l, those in
+(c/2, c], and the polygon the certificate accepts is returned as the hull.
+Small moduli skip the search and hull every point.
 """
 
 from __future__ import annotations
@@ -72,32 +74,17 @@ def hull_method(m: int) -> str:
     return "naive" if m < ENUMERATE_BELOW else "fast"
 
 
+def _pairs(m: int, n: int) -> list[Point]:
+    """The divisor pairs (d, n/d) of n inside [1, m-1]^2."""
+    lo = -(-n // (m - 1))  # smallest d with n/d <= m-1
+    return [(d, n // d) for d in divisors(n) if lo <= d <= m - 1]
+
+
 def lower_left_candidates(spec: HyperbolaSpec, cutoff: int) -> PointSet:
-    """All points of H_a(m) with x*y <= max(1, cutoff), sorted.
-
-    Walks N = a + m*l for 0 <= l <= (cutoff - a)/m and keeps the divisor
-    pairs (d, N/d) that land inside [1, m-1]^2.
-    """
+    """All points of H_a(m) with x*y <= max(1, cutoff), sorted: the divisor
+    pairs of N = a + m*l for 0 <= l <= (cutoff - a)/m."""
     m, a = spec.m, spec.a
-    out: list[Point] = []
-    for l in range((max(1, cutoff) - a) // m + 1):
-        n = a + m * l
-        lo = -(-n // (m - 1))  # smallest d with n/d <= m-1
-        out.extend((d, n // d) for d in divisors(n) if lo <= d <= m - 1)
-    return tuple(sorted(out))
-
-
-def _corner_points(spec: HyperbolaSpec, c: int) -> set[Point]:
-    """Every point of H_a(m) with f <= c."""
-    m = spec.m
-    pts: set[Point] = set()
-    for x, y in lower_left_candidates(spec, c):
-        pts.add((x, y))
-        pts.add((m - x, m - y))
-    for x, y in lower_left_candidates(HyperbolaSpec(m, m - spec.a), c):
-        pts.add((x, m - y))
-        pts.add((m - x, y))
-    return pts
+    return tuple(sorted(p for l in range((max(1, cutoff) - a) // m + 1) for p in _pairs(m, a + m * l)))
 
 
 def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
@@ -122,17 +109,27 @@ def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
     return True
 
 
-def _certified_candidates(spec: HyperbolaSpec) -> PointSet:
-    """The points with f <= c for the first c = m * 2^k the certificate
-    accepts: their hull is the hull of H_a(m)."""
-    m = spec.m
-    c = m
+def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
+    """The hull of H_a(m) and the points it was hulled from: those with
+    f <= c for the first c = m * 2^k the certificate accepts.  Each round
+    adds the points of the a + m*l and (m - a) + m*l in (prev, c], and
+    hulls again only when it added one."""
+    m, a = spec.m, spec.a
+    pts: set[Point] = set()
+    hulled, prev, c = 0, 0, m
     while c < (m - 1) * (m - 1):
-        pts = _corner_points(spec, c)
-        if _certifies(convex_hull(pts), m, c):
-            return tuple(sorted(pts))
-        c *= 2
-    return enumerate_points(spec)
+        for r, mirror in ((a, False), (m - a, True)):
+            for l in range((prev - r) // m + 1, (c - r) // m + 1):
+                for x, y in _pairs(m, r + m * l):
+                    y = m - y if mirror else y
+                    pts.update(((x, y), (m - x, m - y)))
+        if len(pts) > hulled:
+            poly, hulled = convex_hull(pts), len(pts)
+        if _certifies(poly, m, c):
+            return poly, pts
+        prev, c = c, 2 * c
+    pts = set(enumerate_points(spec))
+    return convex_hull(pts), pts
 
 
 def candidate_points(spec: HyperbolaSpec) -> PointSet:
@@ -140,12 +137,14 @@ def candidate_points(spec: HyperbolaSpec) -> PointSet:
     ENUMERATE_BELOW, else the certified corner candidates."""
     if spec.m < ENUMERATE_BELOW:
         return enumerate_points(spec)
-    return _certified_candidates(spec)
+    return tuple(sorted(_certified_hull(spec)[1]))
 
 
 def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:
     """The exact hull of H_a(m)."""
-    return convex_hull(candidate_points(spec))
+    if spec.m < ENUMERATE_BELOW:
+        return convex_hull(enumerate_points(spec))
+    return _certified_hull(spec)[0]
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,7 @@ def verify_against_naive(spec: HyperbolaSpec) -> VerificationReport:
     m = spec.m
     points = enumerate_points(spec)
     naive = convex_hull(points)
-    candidates = _certified_candidates(spec)
-    fast = convex_hull(candidates)
+    fast, candidates = _certified_hull(spec)
     fast_v = set(fast.vertices)
     naive_v = set(naive.vertices)
     return VerificationReport(

@@ -4,8 +4,8 @@ import pytest
 
 from modhull import hullfast, hyperbola
 from modhull.cli import main
-from modhull.experiments import sample_coprime
-from modhull.geometry import ConvexPolygon
+from modhull.experiments import APolicy, sample_coprime
+from modhull.geometry import ConvexPolygon, convex_hull
 from modhull.hyperbola import format_points
 
 
@@ -87,10 +87,13 @@ def test_verify_ok(capsys):
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     # a certified generator that loses every point off the diagonal
-    real = hullfast._certified_candidates
-    monkeypatch.setattr(
-        hullfast, "_certified_candidates", lambda spec: tuple(p for p in real(spec) if p[0] == p[1])
-    )
+    real = hullfast._certified_hull
+
+    def diagonal_only(spec):
+        pts = {p for p in real(spec)[1] if p[0] == p[1]}
+        return convex_hull(pts), pts
+
+    monkeypatch.setattr(hullfast, "_certified_hull", diagonal_only)
     code, out, _ = run_cli(
         capsys,
         "verify",
@@ -105,6 +108,20 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 def test_verify_refuses_oracle_beyond_ceiling(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--m-min", "2147483647", "--m-max", "2147483647", "--a-policy", "one"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "10000000" in err
+    assert out == ""
+
+
+def test_verify_refuses_all_residues_beyond_ceiling(capsys, monkeypatch):
+    # the residue list (about 2^31 units here) must never be built
+    def build(self, m):
+        raise AssertionError("residue list built above the ceiling")
+
+    monkeypatch.setattr(APolicy, "a_values", build)
+    code, out, err = run_cli(
+        capsys, "verify", "--m-min", "2147483647", "--m-max", "2147483647", "--a-policy", "all"
     )
     assert code == 2
     assert err.startswith("error:") and "10000000" in err

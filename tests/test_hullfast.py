@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from modhull.geometry import ConvexPolygon, contains_point, convex_hull
 from modhull.hullfast import (
     ENUMERATE_BELOW,
     _certifies,
-    _corner_points,
     candidate_points,
     fast_hull,
     hull_method,
@@ -17,6 +17,21 @@ from modhull.hullfast import (
     verify_against_naive,
 )
 from modhull.hyperbola import HyperbolaSpec, Point, enumerate_points
+
+
+# The four-corner walk at one cutoff c, from l = 0: the point sets the
+# certificate tests hand to _certifies.
+def corner_points(spec: HyperbolaSpec, c: int) -> set[Point]:
+    """Every point of H_a(m) with f <= c."""
+    m = spec.m
+    pts: set[Point] = set()
+    for x, y in lower_left_candidates(spec, c):
+        pts.add((x, y))
+        pts.add((m - x, m - y))
+    for x, y in lower_left_candidates(HyperbolaSpec(m, m - spec.a), c):
+        pts.add((x, m - y))
+        pts.add((m - x, y))
+    return pts
 
 
 def filtered_enumeration(spec, cutoff):
@@ -166,7 +181,7 @@ def test_certificate_soundness_lattice_oracle():
                 c = m * k // 2
                 if c >= (m - 1) ** 2:
                     break
-                for pts in (_corner_points(spec, c), lower_left_candidates(spec, c)):
+                for pts in (corner_points(spec, c), lower_left_candidates(spec, c)):
                     if not pts:
                         continue  # c below the smallest product a
                     poly = convex_hull(pts)
@@ -187,7 +202,7 @@ def test_certificate_matches_reference():
             spec = HyperbolaSpec(m, a)
             for k in (1, 2, 3, 4, 6, 8, 16):
                 for c in (m * k // 2 - 1, m * k // 2, m * k // 2 + 1):
-                    for pts in (_corner_points(spec, c), lower_left_candidates(spec, c)):
+                    for pts in (corner_points(spec, c), lower_left_candidates(spec, c)):
                         if not pts:
                             continue
                         poly = convex_hull(pts)
@@ -232,7 +247,7 @@ def test_corner_points_are_exactly_small_f():
         spec = HyperbolaSpec(m, a)
         for c in (m // 2, m, 3 * m):
             expected = {p for p in enumerate_points(spec) if corner_product(p, m) <= c}
-            assert _corner_points(spec, c) == expected, (m, a, c)
+            assert corner_points(spec, c) == expected, (m, a, c)
 
 
 def test_real_pruning_keeps_hull_small_sweep():
@@ -282,10 +297,13 @@ def test_verify_report_fields():
 
 def test_verify_forced_mismatch(monkeypatch):
     # a certified generator that loses every candidate off the diagonal
-    real = hullfast._certified_candidates
-    monkeypatch.setattr(
-        hullfast, "_certified_candidates", lambda spec: tuple(p for p in real(spec) if p[0] == p[1])
-    )
+    real = hullfast._certified_hull
+
+    def diagonal_only(spec):
+        pts = {p for p in real(spec)[1] if p[0] == p[1]}
+        return convex_hull(pts), pts
+
+    monkeypatch.setattr(hullfast, "_certified_hull", diagonal_only)
     report = verify_against_naive(HyperbolaSpec(7, 1))
     assert not report.equal
     assert report.missing == ((2, 4), (3, 5), (4, 2), (5, 3))
@@ -297,3 +315,56 @@ def test_fast_equals_naive_small_sweep():
         for a in {1, m - 1}:
             report = verify_against_naive(HyperbolaSpec(m, a))
             assert report.equal, (m, a, report.missing)
+
+
+# (1041, 1) and (1002, 7) each have a round whose new a + m*l give only
+# points an earlier round found from another corner; (1002, 7) and
+# (99991, 12345) take four rounds.
+SEARCH_CASES = [(1002, 7), (1041, 1), (1061, 3), (4096, 2047), (50021, 1), (99991, 12345)]
+
+
+def test_each_product_is_factored_once(monkeypatch):
+    # a round walks only the a + m*l above the previous round's cutoff
+    factored: Counter = Counter()
+    rounds: list[int] = []
+    real_divisors, real_certifies = hullfast.divisors, hullfast._certifies
+    monkeypatch.setattr(hullfast, "divisors", lambda n: factored.update((n,)) or real_divisors(n))
+    monkeypatch.setattr(hullfast, "_certifies", lambda p, m, c: rounds.append(c) or real_certifies(p, m, c))
+    longest = 0
+    for m, a in SEARCH_CASES:
+        factored.clear()
+        rounds.clear()
+        spec = HyperbolaSpec(m, a)
+        assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
+        assert factored and max(factored.values()) == 1, (m, a, factored.most_common(3))
+        assert set(factored) == {n for n in range(1, rounds[-1] + 1) if n % m in (a, m - a)}, (m, a)
+        longest = max(longest, len(rounds))
+    assert longest >= 4
+
+
+def test_no_point_set_is_hulled_twice(monkeypatch):
+    # the accepted polygon is the answer, and a round that adds no point
+    # keeps the polygon it has
+    hulled: list[frozenset] = []
+    real = hullfast.convex_hull
+    monkeypatch.setattr(hullfast, "convex_hull", lambda pts: hulled.append(frozenset(pts)) or real(pts))
+    for m, a in SEARCH_CASES:
+        spec = HyperbolaSpec(m, a)
+        for run in (fast_hull, verify_against_naive):
+            hulled.clear()
+            run(spec)
+            assert len(set(hulled)) == len(hulled), (m, a, run.__name__)
+
+
+def test_candidates_are_the_points_below_the_accepted_cutoff():
+    # the candidate set is {f <= c} for c the least m * 2^k at or above its
+    # largest f, so no round boundary drops or repeats an l
+    for m in range(1000, 1101):
+        for a in {1, m - 1, next(a for a in range(2, m) if math.gcd(a, m) == 1)}:
+            spec = HyperbolaSpec(m, a)
+            cands = set(candidate_points(spec))
+            top = max(corner_product(p, m) for p in cands)
+            c = m
+            while c < top:
+                c *= 2
+            assert cands == {p for p in enumerate_points(spec) if corner_product(p, m) <= c}, (m, a, c)
