@@ -30,6 +30,7 @@ from .ntheory import ArithmeticProfile, arithmetic_profile, factorize
 
 __all__ = [
     "CACHE_ENV",
+    "SWEEP_CEILING",
     "CSV_COLUMNS",
     "SplitMix64",
     "APolicy",
@@ -45,6 +46,15 @@ __all__ = [
 ]
 
 CACHE_ENV = "MODHULL_CACHE_DIR"
+
+# The most records one sweep may hold, bounded from its arguments before it
+# builds anything (APolicy.max_count).  A sweep holds every record, its
+# task lists, the cache dict and the CSV text at once: `modhull sweep
+# --a-policy all` over m in [3, 300] and [3, 700] (27,396 and 149,016
+# records) peaked at 34.8 and 118.4 MiB RSS cold and 36.1 and 140.6 MiB on
+# the warm replay, about 900 bytes a record, so the ceiling is about the
+# 1.8 GB that ENUMERATION_CEILING allows.  CPython 3.11, 64-bit Linux.
+SWEEP_CEILING = 2 * 10**6
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,6 +107,16 @@ class APolicy:
         if text.startswith("sample:"):
             return APolicy("sample", k=int(text.split(":", 1)[1]), seed=seed)
         raise ValueError(f"bad a-policy {text!r}; expected one|all|sample:K")
+
+    def max_count(self, m_min: int, m_max: int) -> int:
+        """An upper bound on the residues visited over m in [m_min, m_max],
+        from the arguments alone: the units mod m number at most m - 1."""
+        r = m_max - m_min + 1
+        if self.kind == "one":
+            return r
+        if self.kind == "all":
+            return r * (m_min + m_max - 2) // 2
+        return r * self.k
 
     def a_values(self, m: int) -> list[int]:
         if self.kind == "one":
@@ -258,6 +278,8 @@ def run_sweep(
     """
     if not 2 <= m_min <= m_max:
         raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
+    if (n := policy.max_count(m_min, m_max)) > SWEEP_CEILING:  # before any list is built
+        raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records (~900 bytes a record), this one may have {n}")
     tasks = [(m, a) for m in range(m_min, m_max + 1) for a in policy.a_values(m)]
     cache_path = Path(cache_file) if cache_file is not None else default_cache_file()
     cache = _load_cache(cache_path) if use_cache else {}

@@ -84,10 +84,12 @@ class ConvexPolygon:
 
 
 def _staircases(pts: list[Point]) -> list[Point]:
-    """The points of a sorted, duplicate-free list that set a new strict
-    minimum or maximum of y when it is scanned from the left or from the
-    right, in sorted order (Kung, Luccio and Preparata's maxima, JACM 22(4),
-    1975, for the four quadrants)."""
+    """The points of a sorted, nonempty list that set a new strict minimum
+    or maximum of y when it is scanned from the left or from the right, in
+    sorted order and each once (Kung, Luccio and Preparata's maxima, JACM
+    22(4), 1975, for the four quadrants).  A repeated point can be kept
+    twice, its first copy by one scan and its last by the other; the copies
+    are adjacent, and dict.fromkeys keeps one."""
     ys = [y for _, y in pts]
     keep = bytearray(len(ys))
     for order in (range(len(ys)), range(len(ys) - 1, -1, -1)):
@@ -101,31 +103,32 @@ def _staircases(pts: list[Point]) -> list[Point]:
             elif y > hi:
                 hi = y
                 keep[i] = 1
-    return [p for p, k in zip(pts, keep) if k]
+    return list(dict.fromkeys(p for p, k in zip(pts, keep) if k))
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Monotone-chain hull of a nonempty point set, extreme points only.
 
     The chain runs only on the four staircases of the sorted points (see
-    `_staircases`), which hold every extreme point.  The left-to-right scan
-    drops p as a new minimum only when an earlier point q != p has
-    q.y <= p.y, and earlier means q.x <= p.x: q lies in p's closed
-    lower-left quadrant.  Likewise its maximum test drops p only for a q
+    `_staircases`), which hold every extreme point once.  The left-to-right
+    scan drops a copy of p as a new minimum only when an earlier element q
+    has q.y <= p.y, and earlier means q.x <= p.x: q lies in p's closed
+    lower-left quadrant.  Likewise its maximum test drops it only for a q
     in the closed upper-left quadrant, and the right-to-left scan for a q
     in the closed lower-right or upper-right one.  An extreme point v is
     the unique maximiser of some linear functional w != 0, and w points
     into one closed quadrant; any q != v in v's quadrant of that direction
-    would give w.q >= w.v, so there is none, and that quadrant's scan keeps
-    v.  The subset therefore has the same hull, and the chain returns it in
-    the same canonical form.
+    would give w.q >= w.v, so there is none.  That quadrant's scan keeps
+    the first copy of v it meets, since every element before that copy in
+    the scan's order is a point other than v.  The subset therefore has
+    the same hull, and the chain returns it in the same canonical form.
     """
-    pts = sorted(set(points))
+    pts = sorted(points)
     if not pts:
         raise ValueError("convex_hull needs at least one point")
+    pts = _staircases(pts)
     if len(pts) == 1:
         return ConvexPolygon((pts[0],))
-    pts = _staircases(pts)
 
     def chain(seq):
         out = []

@@ -35,10 +35,15 @@ no edge whose tangency point is on its arc has G > 2*sqrt(a*b*c).  (For
 c <= 0, K is the whole open square; its corners lie outside [1, m-1]^2 and
 the check rejects, as it must.)
 
-The search starts at c = m and doubles c until the certificate holds,
-falling back to full enumeration once c >= (m-1)^2.  The points are kept
-from round to round, so each round factors only the new a + m*l, those in
-(c/2, c], and the polygon the certificate accepts is returned as the hull.
+The search starts at c = m and doubles c until the certificate holds, and
+it never enumerates: the certificate accepts at the latest when 4c >= m^2,
+because K is then empty, and the first round always has a point, (1, a).
+The least c = m * 2^k with 4c >= m^2 is m itself for m = 2, 3 and 4 (at
+m = 2 the first round finds (1, 1), and 4c = 8 >= 4), and for m >= 5 it
+is below m^2/2 <= (m-1)^2, so no round walks past the products of the
+full square.  The points are kept from round to round, so each round
+factors only the new a + m*l, those in (c/2, c], and the polygon the
+certificate accepts is returned as the hull.
 Small moduli skip the search and hull every point.
 """
 
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import ConvexPolygon, contains_point, convex_hull
+from .geometry import ConvexPolygon, convex_hull
 from .hyperbola import HyperbolaSpec, Point, PointSet, enumerate_points
 from .ntheory import divisors
 
@@ -89,18 +94,23 @@ def lower_left_candidates(spec: HyperbolaSpec, cutoff: int) -> PointSet:
 
 def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
     """The certificate: poly contains K = {f > c}, so every lattice point of
-    [1, m-1]^2 outside poly has f <= c.  The corners of K are tested scaled
-    by 2m, and each edge is read in the frame of the corner its outward
-    normal points to (see the module docstring)."""
+    [1, m-1]^2 outside poly has f <= c.  One pass over the edges: no corner
+    of K, scaled by 2m, lies strictly right of an edge (contains_point's
+    half-plane test on poly scaled by 2m, divided by 2m > 0), and each edge
+    is read in the frame of the corner its outward normal points to (see
+    the module docstring).  A point or a segment cannot hold K's four
+    corners, which are distinct and not collinear when K is not empty."""
     if 4 * c >= m * m:
         return True  # K is empty
-    v, mm, s = poly.vertices, m * m, 2 * m
-    scaled = ConvexPolygon(tuple((s * x, s * y) for x, y in v))
-    corners = ((mm, 4 * c), (4 * c, mm), (mm, 2 * mm - 4 * c), (2 * mm - 4 * c, mm))
-    if not all(contains_point(scaled, z) for z in corners):
+    v = poly.vertices
+    if len(v) < 3:
         return False
+    mm, s = m * m, 2 * m
+    corners = ((mm, 4 * c), (4 * c, mm), (mm, 2 * mm - 4 * c), (2 * mm - 4 * c, mm))
     for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
         dx, dy = x1 - x0, y1 - y0
+        if any(dx * (zy - s * y0) < dy * (zx - s * x0) for zx, zy in corners):
+            return False  # a corner of K lies beyond the edge
         a, b = abs(dy), abs(dx)
         if a and b and 4 * c * a <= b * mm and 4 * c * b <= a * mm:
             g = a * (x0 if dy < 0 else m - x0) + b * (y0 if dx > 0 else m - y0)
@@ -117,7 +127,7 @@ def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
     m, a = spec.m, spec.a
     pts: set[Point] = set()
     hulled, prev, c = 0, 0, m
-    while c < (m - 1) * (m - 1):
+    while True:
         for r, mirror in ((a, False), (m - a, True)):
             for l in range((prev - r) // m + 1, (c - r) // m + 1):
                 for x, y in _pairs(m, r + m * l):
@@ -128,8 +138,6 @@ def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
         if _certifies(poly, m, c):
             return poly, pts
         prev, c = c, 2 * c
-    pts = set(enumerate_points(spec))
-    return convex_hull(pts), pts
 
 
 def candidate_points(spec: HyperbolaSpec) -> PointSet:

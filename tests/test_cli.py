@@ -4,7 +4,7 @@ import pytest
 
 from modhull import hullfast, hyperbola
 from modhull.cli import main
-from modhull.experiments import APolicy, sample_coprime
+from modhull.experiments import SWEEP_CEILING, APolicy, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull
 from modhull.hyperbola import format_points
 
@@ -126,6 +126,24 @@ def test_verify_refuses_all_residues_beyond_ceiling(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:") and "10000000" in err
     assert out == ""
+
+
+def test_sweep_refuses_unbounded_range(tmp_path, capsys, monkeypatch):
+    # about 2^31 tasks for one residue each, or 2^31 units for one modulus
+    def build(self, m):
+        raise AssertionError("residue list built above the ceiling")
+
+    monkeypatch.setattr(APolicy, "a_values", build)
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    for lo, policy in (("2", "one"), ("2147483647", "all")):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m-min", lo, "--m-max", "2147483647",
+            "--a-policy", policy, "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and str(SWEEP_CEILING) in err
+        assert out == ""
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_count_refuses_box_beyond_ceiling(capsys, monkeypatch):

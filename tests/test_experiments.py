@@ -13,6 +13,7 @@ from modhull import experiments, ntheory
 from modhull._version import __version__
 from modhull.experiments import (
     CSV_COLUMNS,
+    SWEEP_CEILING,
     APolicy,
     SplitMix64,
     SweepRecord,
@@ -333,6 +334,26 @@ def test_sweep_rejects_bad_range():
         run_sweep(10, 5, APolicy("one"), use_cache=False)
     with pytest.raises(ValueError):
         run_sweep(1, 5, APolicy("one"), use_cache=False)
+
+
+def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
+    # the bound comes from the arguments: no residue list, cache or task list
+    def build(*args):
+        raise AssertionError("built above the ceiling")
+
+    monkeypatch.setattr(APolicy, "a_values", build)
+    monkeypatch.setattr(experiments, "_load_cache", build)
+    big = 2**31 - 1
+    for m_min, m_max, policy in [
+        (2, big, APolicy("one")),
+        (big, big, APolicy("all")),
+        (2, SWEEP_CEILING // 2 + 2, APolicy("sample", k=2)),
+    ]:
+        with pytest.raises(ValueError, match=str(SWEEP_CEILING)):
+            run_sweep(m_min, m_max, policy, cache_file=tmp_path / "c.jsonl")
+    assert not (tmp_path / "c.jsonl").exists()
+    # the bounds: one residue, k residues, or m - 1 >= phi(m) per modulus
+    assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 5 + 6 + 7 + 8]
 
 
 def test_census_examples():

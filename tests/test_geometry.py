@@ -81,6 +81,8 @@ def test_hull_examples():
     assert seg.is_segment and seg.degenerate
     pt = convex_hull([(3, 4), (3, 4)])
     assert pt.is_point
+    # only the right-to-left scan keeps (2, 1), and it keeps the last copy
+    assert convex_hull([(2, 1), (0, 2), (2, 1), (0, 0)]).vertices == ((0, 0), (2, 1), (0, 2))
 
 
 def test_hull_canonical_form():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from modhull import hullfast
+from modhull import hullfast, hyperbola
 from modhull.geometry import ConvexPolygon, contains_point, convex_hull
 from modhull.hullfast import (
     ENUMERATE_BELOW,
@@ -230,6 +230,15 @@ def test_certificate_needs_every_corner():
     assert _certifies(box(1, 9, 1, 9), 10, 10) and reference_certifies(box(1, 9, 1, 9), 10, 10)
 
 
+def test_certificate_accepts_corners_on_the_boundary():
+    # m = 10, c = 10: {f > 10} is open, so [2, 8]^2 holds it although its
+    # four edges pass through the corners (5, 2), (2, 5), (5, 8), (8, 5);
+    # at c = 9 the corner (5, 1.8) lies outside
+    square = convex_hull([(2, 2), (8, 2), (2, 8), (8, 8)])
+    assert _certifies(square, 10, 10) and reference_certifies(square, 10, 10)
+    assert not _certifies(square, 10, 9) and not reference_certifies(square, 10, 9)
+
+
 def test_edge_maximum_examples():
     # the certificate bounds f on the real segment, not only at its lattice
     # points: along x + y = 5 (m = 10) f = x*(5-x) peaks at 25/4 between
@@ -278,6 +287,19 @@ def test_fast_equals_naive_at_large_moduli():
             a = rng.randrange(1, m)
         spec = HyperbolaSpec(m, a)
         assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
+
+
+def test_certified_search_never_enumerates(monkeypatch):
+    # the search ends by its certificate at every m, down to m = 2
+    def enumerate_points(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(hullfast, "enumerate_points", enumerate_points)
+    for m in range(2, 65):
+        for a in (a for a in range(1, m) if math.gcd(a, m) == 1):
+            spec = HyperbolaSpec(m, a)
+            poly = hullfast._certified_hull(spec)[0]
+            assert poly == convex_hull(hyperbola.enumerate_points(spec)), (m, a)
 
 
 def test_verify_report_fields():
