@@ -63,6 +63,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 2 <= args.m_min <= args.m_max:
+        raise ValueError(f"bad modulus range [{args.m_min}, {args.m_max}]")
     if args.m_max > ENUMERATION_CEILING:  # before any residue list is built
         raise ValueError(f"verify enumerates every point: m <= {ENUMERATION_CEILING}, got --m-max {args.m_max}")
     policy = APolicy.parse(args.a_policy, seed=args.seed)

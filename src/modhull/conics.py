@@ -1,19 +1,21 @@
 """Integer linear algebra on monomial evaluation matrices and exact
 counting of integral points on quadratic curves.
 
-find_vanishing_form recovers, when one exists, an integer combination of
-prescribed monomials vanishing at every input point (e.g. the conic through
-divisor pairs of a fixed product); minors_singular_mod asks the analogous
-rank question modulo m via the gcd of all maximal minors.  The counting
-side is deliberately brute force: it is the desk-scale oracle the rest of
-the package checks sparse-solution claims against.
+One integer elimination serves both questions asked of an evaluation
+matrix: _echelon brings it to row echelon form with Euclidean row steps,
+which are invertible over Z.  find_vanishing_form back-substitutes in
+integers on that form to recover, when one exists, an integer combination
+of prescribed monomials vanishing at every input point (e.g. the conic
+through divisor pairs of a fixed product); minors_singular_mod reads the gcd
+of all maximal minors off its diagonal and asks whether it is 0 modulo m.
+The counting side is deliberately brute force: it is the desk-scale oracle
+the rest of the package checks sparse-solution claims against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .hyperbola import Point
@@ -65,9 +67,12 @@ def find_vanishing_form(
     """Primitive integer vector A with sum(A_i * mono_i) = 0 at every point,
     or None when the evaluation matrix has full column rank.
 
-    Exact rational elimination; the result is normalized so its first
-    nonzero entry is positive, and the choice among a multidimensional
-    kernel is deterministic (first free column set to 1).
+    Back substitution in integers on the echelon form of _echelon: the first
+    free column is set to 1 and the others to 0, and each pivot row is solved
+    after scaling the vector just enough to keep it integral.  A kernel
+    vector is fixed by its free entries, so this is the kernel vector of the
+    reduced row echelon form over Q, up to a scalar; the result is divided by
+    its gcd and its first nonzero entry made positive.
     """
     _check_monomials(monos)
     s = len(monos)
@@ -75,37 +80,19 @@ def find_vanishing_form(
         raise ValueError("need at least two monomials")
     if not points:
         raise ValueError("need at least one point")
-    rows = [[Fraction(v) for v in row] for row in _eval_matrix(points, monos)]
-
-    pivots: list[tuple[int, int]] = []  # (row, col) of reduced pivots
-    r = 0
-    for col in range(s):
-        pis = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pis is None:
-            continue
-        rows[r], rows[pis] = rows[pis], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == s:
-            return None
-    if r == s:
+    mat = _eval_matrix(points, monos)
+    pivots = _echelon(mat, s)
+    if len(pivots) == s:
         return None
 
-    pivot_cols = {c for _, c in pivots}
-    free = next(c for c in range(s) if c not in pivot_cols)
-    sol = [Fraction(0)] * s
-    sol[free] = Fraction(1)
-    for prow, pcol in pivots:
-        sol[pcol] = -rows[prow][free]
+    vec = [0] * s
+    vec[next(c for c in range(s) if c not in pivots)] = 1
+    for row, col in reversed(list(zip(mat, pivots))):
+        num = -sum(row[j] * vec[j] for j in range(col + 1, s))
+        scale = row[col] // math.gcd(num, row[col])
+        vec = [v * scale for v in vec]
+        vec[col] = num * scale // row[col]
 
-    denom = math.lcm(*(f.denominator for f in sol))
-    vec = [int(f * denom) for f in sol]
     g = math.gcd(*vec)
     vec = [v // g for v in vec]
     lead = next(v for v in vec if v != 0)
@@ -117,9 +104,9 @@ def find_vanishing_form(
 def minors_singular_mod(points: Sequence[Point], monos: Sequence[Monomial], m: int) -> bool:
     """True iff every s x s minor of the evaluation matrix is 0 mod m.
 
-    The gcd of all maximal minors is invariant under integer row operations,
-    so triangularizing with Euclidean steps reduces the question to a single
-    determinant.
+    The gcd of all maximal minors is invariant under the integer row steps
+    of _echelon, so it is 0 below s pivots and otherwise the absolute value
+    of the product of the s diagonal pivots.
     """
     _check_monomials(monos)
     if m < 2:
@@ -128,14 +115,22 @@ def minors_singular_mod(points: Sequence[Point], monos: Sequence[Monomial], m: i
     if len(points) < s:
         raise ValueError(f"need at least {s} points, got {len(points)}")
     mat = _eval_matrix(points, monos)
-    return _det_gcd_of_maximal_minors(mat, s) % m == 0
+    return len(_echelon(mat, s)) < s or math.prod(mat[i][i] for i in range(s)) % m == 0
 
 
-def _det_gcd_of_maximal_minors(mat: list[list[int]], s: int) -> int:
-    """gcd of all s x s minors of a K x s integer matrix (0 when rank < s)."""
+def _echelon(mat: list[list[int]], s: int) -> list[int]:
+    """Bring a K x s integer matrix to row echelon form in place with
+    Euclidean row steps; return the pivot column of each nonzero row.
+
+    Each step swaps two rows or subtracts an integer multiple of one row
+    from another, so it is invertible over Z.  The row space over Q is
+    therefore unchanged, and with it the pivot columns and the kernel; so
+    is the gcd of the s x s minors (Cohen, GTM 138, section 2.4).
+    """
     K = len(mat)
-    row = 0
+    pivots: list[int] = []
     for col in range(s):
+        row = len(pivots)
         while True:
             nz = [i for i in range(row, K) if mat[i][col] != 0]
             if len(nz) <= 1:
@@ -147,16 +142,10 @@ def _det_gcd_of_maximal_minors(mat: list[list[int]], s: int) -> int:
                 q = mat[i][col] // mat[piv][col]
                 if q:
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[piv])]
-        nz = [i for i in range(row, K) if mat[i][col] != 0]
         if nz:
             mat[row], mat[nz[0]] = mat[nz[0]], mat[row]
-            row += 1
-    if row < s:
-        return 0
-    det = 1
-    for i in range(s):
-        det *= mat[i][i]
-    return abs(det)
+            pivots.append(col)
+    return pivots
 
 
 @dataclass(frozen=True)

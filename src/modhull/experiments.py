@@ -273,11 +273,14 @@ def run_sweep(
     """One record per (m, a) over m in [m_min, m_max], ordered by (m, a).
 
     Cached records are replayed verbatim (including timings).  Misses are
-    computed, possibly across worker processes, and each one is appended to
+    computed, possibly across worker processes (at most one per CPU,
+    whatever larger number is asked for), and each one is appended to
     the cache as it arrives, so an interrupted sweep keeps what it computed.
     """
     if not 2 <= m_min <= m_max:
         raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if (n := policy.max_count(m_min, m_max)) > SWEEP_CEILING:  # before any list is built
         raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records (~900 bytes a record), this one may have {n}")
     tasks = [(m, a) for m in range(m_min, m_max + 1) for a in policy.a_values(m)]
@@ -290,7 +293,7 @@ def run_sweep(
             if workers > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(max_workers=workers)
+                pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
                 stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
                 computed = pool.map(_record_task, missing, chunksize=8)
             else:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modhull import hullfast, hyperbola
+from modhull import cli, hullfast, hyperbola
 from modhull.cli import main
 from modhull.experiments import SWEEP_CEILING, APolicy, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull
@@ -125,6 +125,19 @@ def test_verify_refuses_all_residues_beyond_ceiling(capsys, monkeypatch):
     )
     assert code == 2
     assert err.startswith("error:") and "10000000" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("m_min, m_max, policy", [("10", "5", "one"), ("1", "3", "all"), ("0", "0", "one")])
+def test_verify_refuses_bad_range(capsys, monkeypatch, m_min, m_max, policy):
+    # the same range check as sweep and census, before any hull is computed
+    def oracle(spec):
+        raise AssertionError(f"hull computed for {spec}")
+
+    monkeypatch.setattr(cli, "verify_against_naive", oracle)
+    code, out, err = run_cli(capsys, "verify", "--m-min", m_min, "--m-max", m_max, "--a-policy", policy)
+    assert code == 2
+    assert err.startswith("error:") and f"bad modulus range [{m_min}, {m_max}]" in err
     assert out == ""
 
 

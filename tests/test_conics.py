@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,116 @@ from modhull.ntheory import divisors
 
 def divisor_points(n):
     return [(d, n // d) for d in divisors(n)]
+
+
+def reference_vanishing_form(points, monos):
+    """The Gauss-Jordan elimination over Q that find_vanishing_form used
+    before it shared the integer echelon pass with minors_singular_mod,
+    unchanged from the evaluation matrix on (inputs are assumed valid)."""
+    s = len(monos)
+    rows = [[Fraction(x**h * y**k) for h, k in monos] for x, y in points]
+
+    pivots = []  # (row, col) of reduced pivots
+    r = 0
+    for col in range(s):
+        pis = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pis is None:
+            continue
+        rows[r], rows[pis] = rows[pis], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == s:
+            return None
+    if r == s:
+        return None
+
+    pivot_cols = {c for _, c in pivots}
+    free = next(c for c in range(s) if c not in pivot_cols)
+    sol = [Fraction(0)] * s
+    sol[free] = Fraction(1)
+    for prow, pcol in pivots:
+        sol[pcol] = -rows[prow][free]
+
+    denom = math.lcm(*(f.denominator for f in sol))
+    vec = [int(f * denom) for f in sol]
+    g = math.gcd(*vec)
+    vec = [v // g for v in vec]
+    lead = next(v for v in vec if v != 0)
+    if lead < 0:
+        vec = [-v for v in vec]
+    return tuple(vec)
+
+
+def reference_minors_gcd(points, monos):
+    """gcd of every s x s minor of the evaluation matrix, one Bareiss
+    determinant per choice of s rows."""
+    s = len(monos)
+    g = 0
+    for rows in itertools.combinations(points, s):
+        a = [[x**h * y**k for h, k in monos] for x, y in rows]
+        sign, prev = 1, 1
+        for k in range(s):
+            p = next((i for i in range(k, s) if a[i][k]), None)
+            if p is None:
+                break
+            if p != k:
+                a[k], a[p], sign = a[p], a[k], -sign
+            for i in range(k + 1, s):
+                for j in range(k + 1, s):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        else:
+            g = math.gcd(g, sign * a[-1][-1])
+    return g
+
+
+LINEAR = ((1, 0), (0, 1))
+AFFINE = ((1, 0), (0, 1), (0, 0))
+CUBIC = ((3, 0), (2, 1), (1, 2), (0, 3), (2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
+MONOMIAL_SETS = (CONIC_MONOMIALS, LINEAR, AFFINE, ((1, 1), (0, 0)), CUBIC)
+
+
+def seeded_points(rng, kind, s):
+    k = rng.randint(1, s + 3)
+    if kind == "random":
+        return [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(k)]
+    if kind == "divisors":
+        pts = divisor_points(rng.choice((12, 60, 720, 5040, rng.randrange(2, 10**6))))
+        return rng.sample(pts, min(k + 2, len(pts)))
+    if kind == "hyperbola":
+        m = rng.randrange(3, 300)
+        a = next(a for a in range(rng.randrange(1, m), 2 * m) if math.gcd(a, m) == 1) % m
+        return enumerate_points(HyperbolaSpec(m, a))[: k + 2]
+    if kind == "repeated":
+        base = [(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(base) for _ in range(k + 2)]
+    x0, y0, dx, dy = (rng.randrange(-50, 51) for _ in range(4))  # collinear
+    return [(x0 + t * dx, y0 + t * dy) for t in rng.sample(range(-30, 31), k + 2)]
+
+
+def test_integer_echelon_matches_rational_elimination():
+    rng = random.Random(0xC0_41C5)
+    kernels = minors = 0
+    for i in range(600):
+        monos = MONOMIAL_SETS[i % len(MONOMIAL_SETS)]
+        kind = ("random", "divisors", "hyperbola", "repeated", "collinear")[i // len(MONOMIAL_SETS) % 5]
+        pts = seeded_points(rng, kind, len(monos))
+        vec = find_vanishing_form(pts, monos)
+        assert vec == reference_vanishing_form(pts, monos), (monos, pts)
+        kernels += vec is not None
+        s = len(monos)
+        if s <= len(pts) and math.comb(len(pts), s) <= 60:
+            g = reference_minors_gcd(pts, monos)
+            for m in (2, 7, 12, 720, 10**9 + 7):
+                assert minors_singular_mod(pts, monos, m) is (g % m == 0), (monos, pts, m)
+            minors += 1
+    assert kernels >= 200 and minors >= 200  # both outcomes are exercised
 
 
 def brute_count(coeffs, H):

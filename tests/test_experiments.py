@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -334,6 +335,30 @@ def test_sweep_rejects_bad_range():
         run_sweep(10, 5, APolicy("one"), use_cache=False)
     with pytest.raises(ValueError):
         run_sweep(1, 5, APolicy("one"), use_cache=False)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(10, 12, APolicy("one"), workers=workers, cache_file=tmp_path / "w.jsonl")
+    assert not (tmp_path / "w.jsonl").exists()
+
+
+def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
+    # a fake pool records the size it was asked for: no process is started
+    import concurrent.futures
+
+    asked = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        run_sweep(10, 12, APolicy("one"), workers=100_000, use_cache=False)
+    assert asked == [min(100_000, os.cpu_count() or 1)]
 
 
 def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
