@@ -65,10 +65,8 @@ from .hyperbola import (
 )
 from .ntheory import (
     FACTOR_CEILING,
-    ArithmeticProfile,
     Factorization,
     NotInvertible,
-    arithmetic_profile,
     batch_mod_inv,
     divisors,
     ext_gcd,

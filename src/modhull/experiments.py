@@ -26,7 +26,7 @@ from ._version import __version__
 from .geometry import convex_hull
 from .hullfast import candidate_points, hull_method
 from .hyperbola import HyperbolaSpec
-from .ntheory import ArithmeticProfile, arithmetic_profile, factorize
+from .ntheory import factorize
 
 __all__ = [
     "CACHE_ENV",
@@ -175,10 +175,11 @@ _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for 
 
 
 @lru_cache(maxsize=1)
-def _modulus_stats(m: int) -> tuple[ArithmeticProfile, int]:
-    """arithmetic_profile(m) and tau(m - 1).  A sweep visits the residues of
-    one modulus in a row, so the last modulus is all there is to keep."""
-    return arithmetic_profile(m), factorize(m - 1).tau
+def _modulus_stats(m: int) -> tuple[int, int, int]:
+    """phi(m), the kernel of m and tau(m - 1).  A sweep visits the residues
+    of one modulus in a row, so the last modulus is all there is to keep."""
+    f = factorize(m)
+    return f.phi, f.kernel, factorize(m - 1).tau
 
 
 def compute_record(m: int, a: int) -> SweepRecord:
@@ -188,19 +189,20 @@ def compute_record(m: int, a: int) -> SweepRecord:
     cands = candidate_points(spec)
     poly = convex_hull(cands)
     elapsed = time.perf_counter_ns() - start
-    prof, tau_m_minus_1 = _modulus_stats(m)
+    phi, kernel, tau_m_minus_1 = _modulus_stats(m)
+    t = m // kernel
     v = poly.vertex_count
     exponent = math.log(v) / math.log(m) if v > 1 else 0.0
-    norm512 = v / (prof.t * m ** (5.0 / 12.0))
+    norm512 = v / (t * m ** (5.0 / 12.0))
     return SweepRecord(
         m=m,
         a=spec.a,
         v=v,
-        phi=prof.phi,
+        phi=phi,
         tau_m_minus_1=tau_m_minus_1,
-        kernel=prof.kernel,
-        t=prof.t,
-        squarefree=prof.squarefree,
+        kernel=kernel,
+        t=t,
+        squarefree=kernel == m,
         exponent=exponent,
         norm512=norm512,
         method=hull_method(m),
@@ -216,31 +218,32 @@ def default_cache_file() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.jsonl"
 
 
-def _cache_key(m: int, a: int) -> tuple:
-    return (m, a, __version__)
-
-
-def _load_cache(path: Path) -> dict[tuple, SweepRecord]:
-    """The records in the cache file.  Of two lines with one key the later
-    wins.  A damaged line is skipped, so its record is recomputed: one that is
-    torn, not ASCII or not a JSON record, one with a field of the wrong type
-    or a non-ASCII method (csv_row and write_csv rely on both), and one whose
-    key names another (m, a) than its fields."""
-    out: dict[tuple, SweepRecord] = {}
+def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], SweepRecord]:
+    """The records of this version with m in [m_min, m_max] in the cache
+    file, keyed by (m, a); each line's key is [m, a, version].  A line of
+    another version or modulus is passed over before a record is built.  Of
+    two lines with one key the later wins.  A damaged line is skipped, so its
+    record is recomputed: one that is torn, not ASCII or not a JSON record,
+    one with a field of the wrong type or a non-ASCII method (csv_row and
+    write_csv rely on both), and one whose key names another (m, a) than its
+    fields."""
+    out: dict[tuple[int, int], SweepRecord] = {}
     if not path.exists():
         return out
     with open(path, "rb") as fh:
         for line in fh:
             try:
                 obj = json.loads(line.decode("ascii"))
-                key = tuple(obj.pop("key"))
+                m, a, version = obj.pop("key")
+                if version != __version__ or not m_min <= m <= m_max:
+                    continue
                 rec = SweepRecord(**obj)
                 if (
                     tuple(map(type, _field_values(rec))) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
                     and rec.method.isascii()
-                    and key[:2] == (rec.m, rec.a)
+                    and (m, a) == (rec.m, rec.a)
                 ):
-                    out[key] = rec
+                    out[m, a] = rec
             except (ValueError, TypeError, KeyError, AttributeError):
                 continue  # blank or damaged line
     return out
@@ -285,9 +288,9 @@ def run_sweep(
         raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records (~900 bytes a record), this one may have {n}")
     tasks = [(m, a) for m in range(m_min, m_max + 1) for a in policy.a_values(m)]
     cache_path = Path(cache_file) if cache_file is not None else default_cache_file()
-    cache = _load_cache(cache_path) if use_cache else {}
+    cache = _load_cache(cache_path, m_min, m_max) if use_cache else {}
 
-    missing = [(m, a) for m, a in tasks if _cache_key(m, a) not in cache]
+    missing = [task for task in tasks if task not in cache]
     if missing:
         with contextlib.ExitStack() as stack:
             if workers > 1:
@@ -300,13 +303,12 @@ def run_sweep(
                 computed = map(_record_task, missing)
             out = stack.enter_context(_open_for_append(cache_path)) if use_cache else None
             for rec in computed:
-                key = _cache_key(rec.m, rec.a)
-                cache[key] = rec
+                cache[rec.m, rec.a] = rec
                 if out is not None:
                     # the fields are flat: vars() is dataclasses.asdict without its deep copy
-                    line = json.dumps({"key": list(key), **vars(rec)}, sort_keys=True)
+                    line = json.dumps({"key": [rec.m, rec.a, __version__], **vars(rec)}, sort_keys=True)
                     out.write(line.encode("ascii") + b"\n")
-    return [cache[_cache_key(m, a)] for m, a in sorted(tasks)]
+    return [cache[task] for task in tasks]  # the tasks are in (m, a) order
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:

@@ -235,10 +235,21 @@ def _span(vals: list[int]) -> int:
 
 
 def _best_shear(fixed: list[int], moving: list[int]) -> int:
-    """Integer q minimizing span(moving + q * fixed), by ternary search.
+    """Integer q minimizing width(q) = span(moving + q * fixed), by binary
+    search on the forward difference width(q + 1) - width(q).
 
-    The span is a convex piecewise-linear function of q, so the integer
-    minimum sits where the forward difference changes sign.
+    The bracket: with fixed[i] - fixed[j] = span(fixed) (i and j swapped
+    when q < 0), width(q) >= moving[i] - moving[j] + |q| * span(fixed)
+    >= |q| * span(fixed) - span(moving).  Since width(0) = span(moving),
+    every minimiser has |q| <= 2 * span(moving) / span(fixed), so it lies
+    strictly inside [-bound, bound].
+
+    The search: width is convex, so its forward difference is
+    nondecreasing and is positive exactly from the largest minimiser q2 on.
+    The step keeps lo < q2 <= hi, so from any bracket that holds q2 and
+    q2 - 1 it ends on lo = q2 - 1, hi = q2, and the tie-break returns q2 - 1
+    if that is a minimiser too and q2 otherwise: the same q for every such
+    bracket.
     """
     if _span(fixed) == 0:
         return 0
@@ -247,8 +258,7 @@ def _best_shear(fixed: list[int], moving: list[int]) -> int:
         vals = [m + q * f for f, m in zip(fixed, moving)]
         return max(vals) - min(vals)
 
-    # any q past 2*span(moving) is provably worse than q = 0
-    bound = 2 * _span(moving) + 1
+    bound = 2 * _span(moving) // _span(fixed) + 1
     lo, hi = -bound, bound
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -16,14 +16,12 @@ __all__ = [
     "FACTOR_CEILING",
     "NotInvertible",
     "Factorization",
-    "ArithmeticProfile",
     "ext_gcd",
     "mod_inv",
     "batch_mod_inv",
     "is_prime",
     "factorize",
     "divisors",
-    "arithmetic_profile",
     "primes_up_to",
 ]
 
@@ -33,9 +31,6 @@ __all__ = [
 FACTOR_CEILING = 2**63
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# trial-division wheel before handing the remainder to rho
-_TRIAL_BOUND = 1000
 
 
 class NotInvertible(ValueError):
@@ -197,9 +192,6 @@ class Factorization:
         return out
 
 
-_trial_primes: list[int] = []
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a plain byte sieve."""
     if n < 2:
@@ -212,16 +204,18 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+# trial-division wheel before handing the remainder to rho
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
+
+
 def factorize(n: int) -> Factorization:
     """Factor n >= 1.  Trial division below 1000, then Brent rho on what is left."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     if n >= FACTOR_CEILING:
         raise ValueError(f"{n} exceeds the factoring ceiling 2**63")
-    if not _trial_primes:
-        _trial_primes.extend(primes_up_to(_TRIAL_BOUND))
     counts: dict[int, int] = {}
-    for p in _trial_primes:
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -256,31 +250,3 @@ def divisors(f: Factorization | int) -> list[int]:
         divs.extend(step)
     return sorted(divs)
 
-
-@dataclass(frozen=True)
-class ArithmeticProfile:
-    """The multiplicative statistics of n used by the sweep records."""
-
-    n: int
-    tau: int
-    phi: int
-    omega: int
-    kernel: int
-    t: int
-    squarefree: bool
-
-
-def arithmetic_profile(n: int) -> ArithmeticProfile:
-    if n < 2:
-        raise ValueError(f"arithmetic_profile expects n >= 2, got {n}")
-    f = factorize(n)
-    kernel = f.kernel
-    return ArithmeticProfile(
-        n=n,
-        tau=f.tau,
-        phi=f.phi,
-        omega=f.omega,
-        kernel=kernel,
-        t=n // kernel,
-        squarefree=kernel == n,
-    )

@@ -26,7 +26,7 @@ from modhull.hyperbola import (
     enumerate_points,
     predicted_count,
 )
-from modhull.ntheory import arithmetic_profile, divisors, factorize
+from modhull.ntheory import divisors, factorize
 
 SWEEP_SEED = 0xC0FFEE  # criterion 1/8 residue samples
 PAIRS_SEED = 0x5EED3  # criterion 3 (m, a) pairs
@@ -93,7 +93,7 @@ def test_criterion_3_cardinality_and_symmetry():
     for m, a in pairs:
         spec = HyperbolaSpec(m, a)
         pts = enumerate_points(spec)
-        assert len(pts) == arithmetic_profile(m).phi
+        assert len(pts) == factorize(m).phi
         verts = set(convex_hull(pts).vertices)
         assert {(y, x) for x, y in verts} == verts
         assert {(m - x, m - y) for x, y in verts} == verts

@@ -160,11 +160,11 @@ def test_sweep_refuses_unbounded_range(tmp_path, capsys, monkeypatch):
 
 
 def test_count_refuses_box_beyond_ceiling(capsys, monkeypatch):
-    # the unit lists must never be built: this box would need about 240 GiB
+    # no inverse chunk may be built: this box would take about half an hour
     def build(m, upper):
-        raise AssertionError("unit lists built above the ceiling")
+        raise AssertionError("inverse chunks built above the ceiling")
 
-    monkeypatch.setattr(hyperbola, "_units_and_inverses", build)
+    monkeypatch.setattr(hyperbola, "_unit_inverses", build)
     code, out, err = run_cli(
         capsys, "count", "--m", "2147483647", "--a", "1", "--U", "2147483646", "--V", "5"
     )

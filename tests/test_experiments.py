@@ -171,7 +171,9 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
         calls.append(n)
         return real(n)
 
-    # arithmetic_profile calls factorize through ntheory's own binding
+    # compute_record factors m and m - 1 through experiments' binding; the
+    # one in ntheory is patched too, so a factorization made inside ntheory
+    # (divisors of an int) would be counted as well
     monkeypatch.setattr(ntheory, "factorize", counting)
     monkeypatch.setattr(experiments, "factorize", counting)
     records = run_sweep(3, 40, APolicy("all"), use_cache=False)
@@ -209,6 +211,41 @@ def _forbid_compute(monkeypatch):
     monkeypatch.setattr(experiments, "compute_record", fail)
 
 
+def test_warm_sweep_builds_only_its_own_records(tmp_path, monkeypatch):
+    # a cache line of another version, or with m outside the sweep's range,
+    # is passed over before a SweepRecord is built from it
+    cache = tmp_path / "cache.jsonl"
+    wide = run_sweep(3, 30, APolicy("one"), cache_file=cache)
+    lines = cache.read_bytes().splitlines(keepends=True)  # m = 3, ..., 30
+    this_version = f'"{__version__}"]'.encode()
+    # later lines for m = 10, 11, 12 of another version, with a changed v
+    stale = [
+        re.sub(rb'"v": \d+', b'"v": 99', line).replace(this_version, b'"0.0.0"]') for line in lines[7:10]
+    ]
+    cache.write_bytes(b"".join(lines + stale))
+    built = []
+    real = experiments.SweepRecord
+    monkeypatch.setattr(experiments, "SweepRecord", lambda **fields: built.append(fields["m"]) or real(**fields))
+    _forbid_compute(monkeypatch)
+    assert run_sweep(10, 12, APolicy("one"), cache_file=cache) == wide[7:10]
+    assert built == [10, 11, 12]
+
+
+def test_records_derive_t_and_squarefree_from_the_kernel(monkeypatch):
+    # the hull is stubbed out: this checks the arithmetic columns only
+    monkeypatch.setattr(experiments, "candidate_points", lambda spec: [(1, 1)])
+    examples = {12: (4, 6, 2, False), 30: (8, 30, 1, True), 2: (1, 2, 1, True)}
+    for m, (phi, kernel, t, squarefree) in examples.items():
+        rec = compute_record(m, 1)
+        assert (rec.phi, rec.kernel, rec.t, rec.squarefree) == (phi, kernel, t, squarefree)
+    for m in range(2, 3000):
+        rec = compute_record(m, 1)
+        f = factorize(m)
+        assert (rec.phi, rec.kernel, rec.tau_m_minus_1) == (f.phi, f.kernel, factorize(m - 1).tau)
+        assert rec.t * rec.kernel == m
+        assert rec.squarefree == (rec.t == 1) == (rec.kernel == m) == all(e == 1 for _, e in f.factors)
+
+
 def test_sweep_appends_after_torn_last_line(tmp_path, monkeypatch):
     # a sweep killed in the middle of a write leaves a last line without "\n"
     cache = tmp_path / "cache.jsonl"
@@ -234,7 +271,7 @@ def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "compute_record", compute_ten)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(3, 60, APolicy("one"), cache_file=cache)
-    assert experiments._load_cache(cache) == {(r.m, r.a, __version__): r for r in done}
+    assert experiments._load_cache(cache, 3, 60) == {(r.m, r.a): r for r in done}
 
 
 def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):

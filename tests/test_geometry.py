@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from modhull.geometry import (
     DegenerateInput,
     TooFewVertices,
     UnimodularMap,
+    _best_shear,
     consecutive_block_min_area,
     contains_point,
     convex_hull,
@@ -255,6 +257,53 @@ def test_normalize_contract_and_ratio():
         assert umap.det in (1, -1)
         assert twice_area(transform_polygon(poly, umap)) == twice_area(poly)
         assert u * v <= 4 * twice_area(poly)  # 8 * area ceiling
+
+
+def _shear_width(fixed, moving, q):
+    vals = [m + q * f for f, m in zip(fixed, moving)]
+    return max(vals) - min(vals)
+
+
+def reference_best_shear(fixed, moving):
+    """The shear search with its first bracket, [-(2*span(moving) + 1),
+    2*span(moving) + 1]: the reference that geometry._best_shear, with the
+    bracket divided by span(fixed), must match."""
+    if max(fixed) == min(fixed):
+        return 0
+    width = lambda q: _shear_width(fixed, moving, q)
+    bound = 2 * (max(moving) - min(moving)) + 1
+    lo, hi = -bound, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if width(mid) < width(mid + 1):
+            hi = mid
+        else:
+            lo = mid
+    return lo if width(lo) <= width(hi) else hi
+
+
+def test_best_shear_matches_the_wide_bracket():
+    # moving is about -q0 * fixed plus noise, so the minimiser sits near q0,
+    # up to 2 * span(moving) / span(fixed) away from 0; span(fixed) = 1 and
+    # flat minima (several q of equal width) are frequent
+    rng = random.Random(8)
+    seen_flat = seen_unit_span = 0
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        sf = rng.choice((1, 1, 2, 3, 5, 17))
+        fixed = [rng.randint(0, sf) for _ in range(n)]
+        fixed[rng.randrange(n)] = 0
+        fixed[rng.randrange(n)] = sf
+        q0 = rng.randint(-30, 30)
+        noise = rng.choice((0, 1, 3, 50))
+        moving = [-q0 * f + rng.randint(-noise, noise) for f in fixed]
+        q = reference_best_shear(fixed, moving)
+        assert _best_shear(fixed, moving) == q, (fixed, moving)
+        width = [_shear_width(fixed, moving, q + d) for d in (-1, 0, 1)]
+        seen_flat += width[1] in (width[0], width[2])
+        seen_unit_span += max(fixed) - min(fixed) == 1
+    assert seen_flat > 300 and seen_unit_span > 300
+    assert _best_shear([4, 4, 4], [0, 9, 2]) == 0  # span(fixed) = 0
 
 
 def test_unimodular_map_validation():

@@ -14,7 +14,7 @@ from modhull.hyperbola import (
     parse_points,
     predicted_count,
 )
-from modhull.ntheory import arithmetic_profile
+from modhull.ntheory import factorize, mod_inv
 
 
 def units(m):
@@ -45,7 +45,7 @@ def test_enumerate_congruence_and_cardinality():
         for a in (1, m - 1) if m > 2 else (1,):
             spec = HyperbolaSpec(m, a)
             pts = enumerate_points(spec)
-            assert len(pts) == arithmetic_profile(m).phi
+            assert len(pts) == factorize(m).phi
             assert all(1 <= x <= m - 1 and 1 <= y <= m - 1 for x, y in pts)
             assert all(x * y % m == spec.a for x, y in pts)
             assert [x for x, _ in pts] == sorted({x for x, _ in pts})
@@ -61,7 +61,7 @@ def test_count_in_box_examples():
 def test_count_in_box_clamps_and_saturates():
     for m in (7, 12, 101):
         spec = HyperbolaSpec(m, 1)
-        phi = arithmetic_profile(m).phi
+        phi = factorize(m).phi
         assert count_in_box(spec, m - 1, m - 1) == phi
         assert count_in_box(spec, 10 * m, 10 * m) == phi
         assert count_in_box(spec, -3, m) == 0
@@ -145,11 +145,25 @@ def test_enumeration_ceiling_fires_before_allocating(monkeypatch):
     assert calls == [ENUMERATION_CEILING]
 
 
+def test_box_count_inverts_in_bounded_chunks(monkeypatch):
+    # one batched inversion per chunk of x, so memory does not grow with U
+    lengths = []
+    real = hyperbola.batch_mod_inv
+    monkeypatch.setattr(hyperbola, "batch_mod_inv", lambda xs, m: lengths.append(len(xs)) or real(xs, m))
+    m, a = 999_999, 2  # 3^3 * 7 * 11 * 13 * 37: chunks skip the non-units
+    U = 6 * hyperbola._COUNT_CHUNK + 123
+    unit_xs = [x for x in range(1, U + 1) if math.gcd(x, m) == 1]
+    for V in (1, m // 3, m - 1):
+        lengths.clear()
+        assert count_in_box(HyperbolaSpec(m, a), U, V) == sum(1 for x in unit_xs if a * mod_inv(x, m) % m <= V)
+        assert max(lengths) <= hyperbola._COUNT_CHUNK and sum(lengths) == len(unit_xs)
+
+
 def test_box_count_ceiling_fires_before_allocating(monkeypatch):
-    # the unit lists are where box counting allocates; above the ceiling
+    # the inverse chunks are where box counting allocates; above the ceiling
     # (after U is clamped to m - 1) they must never be built
     calls = []
-    monkeypatch.setattr(hyperbola, "_units_and_inverses", lambda m, upper: calls.append(upper) or ([], []))
+    monkeypatch.setattr(hyperbola, "_unit_inverses", lambda m, upper: calls.append(upper) or [])
     big = HyperbolaSpec(2**31 - 1, 1)
     for U in (ENUMERATION_CEILING + 1, 2**31 - 2, 2**40):
         with pytest.raises(ValueError, match="box counts are limited"):

@@ -1,13 +1,14 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from modhull.ntheory import (
-    ArithmeticProfile,
     Factorization,
     NotInvertible,
-    arithmetic_profile,
+    _brent_rho,
     batch_mod_inv,
     divisors,
     ext_gcd,
@@ -90,6 +91,29 @@ def test_factorize_large_semiprime():
     assert f.factors == ((q, 1), (p, 1))
 
 
+def test_factorize_rho_paths():
+    # everything here is past trial division, so rho splits it.  When the
+    # batched gcd reaches n (prime squares often do this), rho backtracks
+    # one step at a time; two 31-bit primes need the longest walks
+    rng = random.Random(20)
+
+    def prime_in(lo, hi):
+        while not is_prime(p := rng.randrange(lo, hi)):
+            pass
+        return p
+
+    cases = []
+    for _ in range(40):
+        p, q = prime_in(1001, 2**20), prime_in(1001, 2**20)
+        cases += [[p, p], [p, q], [p, p, q]]
+    cases += [[prime_in(2**30, 2**31), prime_in(2**30, 2**31)] for _ in range(4)]
+    for primes in cases:
+        n = math.prod(primes)
+        d = _brent_rho(n)
+        assert 1 < d < n and n % d == 0, (primes, d)
+        assert factorize(n).factors == tuple(sorted(Counter(primes).items())), primes
+
+
 def test_factorization_validates():
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime
@@ -135,24 +159,22 @@ def test_is_prime_small():
         assert is_prime(n) == (n in sieve)
 
 
-def test_arithmetic_profile_examples():
-    assert arithmetic_profile(12) == ArithmeticProfile(
-        n=12, tau=6, phi=4, omega=2, kernel=6, t=2, squarefree=False
-    )
-    assert arithmetic_profile(30) == ArithmeticProfile(
-        n=30, tau=8, phi=8, omega=3, kernel=30, t=1, squarefree=True
-    )
-    assert arithmetic_profile(2) == ArithmeticProfile(
-        n=2, tau=2, phi=1, omega=1, kernel=2, t=1, squarefree=True
-    )
+def test_factorization_statistics_examples():
+    # t = n / kernel and the squarefree flag are derived by the sweep records
+    # (tests/test_experiments.py); these are the statistics they start from
+    stats = lambda f: (f.n, f.tau, f.phi, f.omega, f.kernel)
+    assert stats(factorize(12)) == (12, 6, 4, 2, 6)
+    assert stats(factorize(30)) == (30, 8, 8, 3, 30)
+    assert stats(factorize(2)) == (2, 2, 1, 1, 2)
 
 
 def test_kernel_squarefree_same_support():
+    # the sweep records' t = n / kernel and squarefree = (kernel == n) are
+    # checked against these in tests/test_experiments.py
     for n in range(2, 3000):
-        prof = arithmetic_profile(n)
-        k = factorize(prof.kernel)
+        f = factorize(n)
+        k = factorize(f.kernel)
         assert all(e == 1 for _, e in k.factors)
-        assert [p for p, _ in k.factors] == [p for p, _ in factorize(n).factors]
-        assert n % prof.kernel == 0
-        assert prof.t * prof.kernel == n
-        assert prof.squarefree == (prof.t == 1) == (prof.kernel == n)
+        assert [p for p, _ in k.factors] == [p for p, _ in f.factors]
+        assert n % f.kernel == 0
+        assert (f.kernel == n) == all(e == 1 for _, e in f.factors)
