@@ -14,6 +14,7 @@ from fractions import Fraction
 from .conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
 from .experiments import (
     APolicy,
+    default_cache_file,
     exponent_summary,
     lower_bound_census,
     render_exponent_summary,
@@ -54,7 +55,7 @@ def _cmd_sweep(args) -> int:
         args.m_max,
         policy,
         workers=args.workers,
-        use_cache=not args.no_cache,
+        cache_file=None if args.no_cache else default_cache_file(),
     )
     write_csv(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")
@@ -63,24 +64,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 2 <= args.m_min <= args.m_max:
-        raise ValueError(f"bad modulus range [{args.m_min}, {args.m_max}]")
+    tasks = APolicy.parse(args.a_policy, seed=args.seed).tasks(args.m_min, args.m_max)
     if args.m_max > ENUMERATION_CEILING:  # before any residue list is built
         raise ValueError(f"verify enumerates every point: m <= {ENUMERATION_CEILING}, got --m-max {args.m_max}")
-    policy = APolicy.parse(args.a_policy, seed=args.seed)
     mismatches = 0
     checked = 0
-    for m in range(args.m_min, args.m_max + 1):
-        for a in policy.a_values(m):
-            report = verify_against_naive(HyperbolaSpec(m, a))
-            checked += 1
-            if not report.equal:
-                mismatches += 1
-                print(
-                    f"MISMATCH m={m} a={a}: "
-                    f"fast v={len(report.fast_vertices)} naive v={len(report.naive_vertices)} "
-                    f"missing={list(report.missing)} extra={list(report.extra)}"
-                )
+    for m, a in tasks:
+        report = verify_against_naive(HyperbolaSpec(m, a))
+        checked += 1
+        if not report.equal:
+            mismatches += 1
+            print(
+                f"MISMATCH m={m} a={a}: "
+                f"fast v={len(report.fast_vertices)} naive v={len(report.naive_vertices)} "
+                f"missing={list(report.missing)} extra={list(report.extra)}"
+            )
     if mismatches:
         print(f"{mismatches} mismatches out of {checked} hulls")
         return 1

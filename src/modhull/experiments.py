@@ -2,6 +2,12 @@
 lower-bound census v_1(m) >= 2*(tau(m-1) - 1), exponent summaries, and an
 append-only cache that keeps every record of interrupted and concurrent sweeps.
 
+One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
+`modhull verify`, and holds the one check of a modulus range.  A record is a
+SweepRecord tuple: its values in column order fill the CSV row, and with its
+field names they make the cache line.  run_sweep uses a cache only when it is
+given a cache file.
+
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
 repeated sweeps emit byte-identical CSV.  Residue sampling
@@ -16,11 +22,10 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, NamedTuple, get_type_hints
 
 from ._version import __version__
 from .geometry import convex_hull
@@ -51,8 +56,8 @@ CACHE_ENV = "MODHULL_CACHE_DIR"
 # builds anything (APolicy.max_count).  A sweep holds every record, its
 # task lists, the cache dict and the CSV text at once: `modhull sweep
 # --a-policy all` over m in [3, 300] and [3, 700] (27,396 and 149,016
-# records) peaked at 34.8 and 118.4 MiB RSS cold and 36.1 and 140.6 MiB on
-# the warm replay, about 900 bytes a record, so the ceiling is about the
+# records) peaked at 30.1 and 97.2 MiB RSS cold and 33.7 and 126.3 MiB on
+# the warm replay, under 900 bytes a record, so the ceiling is about the
 # 1.8 GB that ENUMERATION_CEILING allows.  CPython 3.11, 64-bit Linux.
 SWEEP_CEILING = 2 * 10**6
 
@@ -125,9 +130,18 @@ class APolicy:
             return [a for a in range(1, m) if math.gcd(a, m) == 1]
         return sample_coprime(m, self.k, self.seed)
 
+    def tasks(self, m_min: int, m_max: int) -> Iterator[tuple[int, int]]:
+        """The (m, a) pairs over m in [m_min, m_max] in (m, a) order, made
+        lazily; a bad range is refused at the call, before any residue list."""
+        if not 2 <= m_min <= m_max:
+            raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
+        return ((m, a) for m in range(m_min, m_max + 1) for a in self.a_values(m))
+
 
 def sample_coprime(m: int, k: int, seed: int) -> list[int]:
-    """k distinct units mod m, deterministic in (m, k, seed), sorted."""
+    """k distinct units mod m, deterministic in (m, k, seed), sorted; all
+    phi(m) of them when k >= phi(m)."""
+    k = min(k, factorize(m).phi)  # no draws are spent once every unit is held
     rng = SplitMix64(_mix64(seed) ^ _mix64(m))
     chosen: set[int] = set()
     attempts = 0
@@ -144,10 +158,10 @@ def sample_coprime(m: int, k: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One sweep record.  The field declarations are the whole schema: the
-    CSV columns, the CSV row format and the types a cache line must have."""
+    CSV columns, the CSV row format and the types a cache line must have.
+    The record is the tuple of its values, in column order."""
 
     m: int
     a: int
@@ -164,12 +178,11 @@ class SweepRecord:
     elapsed_ns: int
 
     def csv_row(self) -> str:
-        return _ROW_FORMAT % _field_values(self)
+        return _ROW_FORMAT % self
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+CSV_COLUMNS = SweepRecord._fields
 _FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
-_field_values = attrgetter(*CSV_COLUMNS)
 # booleans print as 0/1 and reals to six significant digits
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
 
@@ -228,7 +241,7 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
     write_csv rely on both), and one whose key names another (m, a) than its
     fields."""
     out: dict[tuple[int, int], SweepRecord] = {}
-    if not path.exists():
+    if not Path(path).exists():
         return out
     with open(path, "rb") as fh:
         for line in fh:
@@ -239,7 +252,7 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
                     continue
                 rec = SweepRecord(**obj)
                 if (
-                    tuple(map(type, _field_values(rec))) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
+                    tuple(map(type, rec)) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
                     and rec.method.isascii()
                     and (m, a) == (rec.m, rec.a)
                 ):
@@ -252,7 +265,7 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
 def _open_for_append(path: Path):
     """The cache file, unbuffered and in append mode: each write() is one
     system call, so the lines of two sweeps appending at once never mix."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "a+b", buffering=0)  # positioned at the end of the file
     fh.seek(max(fh.tell() - 1, 0))
     if fh.read(1) not in (b"", b"\n"):
@@ -261,6 +274,9 @@ def _open_for_append(path: Path):
 
 
 def _record_task(args: tuple) -> SweepRecord:
+    # The pool pickles this function by name, and each worker looks
+    # compute_record up when it runs: a fake that a test patches in, such as
+    # a local function, which cannot be pickled, still reaches forked workers.
     m, a = args
     return compute_record(m, a)
 
@@ -270,25 +286,23 @@ def run_sweep(
     m_max: int,
     policy: APolicy,
     workers: int = 1,
-    use_cache: bool = True,
     cache_file: Path | None = None,
 ) -> list[SweepRecord]:
     """One record per (m, a) over m in [m_min, m_max], ordered by (m, a).
 
-    Cached records are replayed verbatim (including timings).  Misses are
-    computed, possibly across worker processes (at most one per CPU,
-    whatever larger number is asked for), and each one is appended to
+    With a cache_file, its records are replayed verbatim (including
+    timings); with None, every record is computed and nothing is written.
+    Misses are computed, possibly across worker processes (at most one per
+    CPU, whatever larger number is asked for), and each one is appended to
     the cache as it arrives, so an interrupted sweep keeps what it computed.
     """
-    if not 2 <= m_min <= m_max:
-        raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
+    walk = policy.tasks(m_min, m_max)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (n := policy.max_count(m_min, m_max)) > SWEEP_CEILING:  # before any list is built
         raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records (~900 bytes a record), this one may have {n}")
-    tasks = [(m, a) for m in range(m_min, m_max + 1) for a in policy.a_values(m)]
-    cache_path = Path(cache_file) if cache_file is not None else default_cache_file()
-    cache = _load_cache(cache_path, m_min, m_max) if use_cache else {}
+    tasks = list(walk)
+    cache = _load_cache(cache_file, m_min, m_max) if cache_file is not None else {}
 
     missing = [task for task in tasks if task not in cache]
     if missing:
@@ -301,12 +315,11 @@ def run_sweep(
                 computed = pool.map(_record_task, missing, chunksize=8)
             else:
                 computed = map(_record_task, missing)
-            out = stack.enter_context(_open_for_append(cache_path)) if use_cache else None
+            out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
             for rec in computed:
                 cache[rec.m, rec.a] = rec
                 if out is not None:
-                    # the fields are flat: vars() is dataclasses.asdict without its deep copy
-                    line = json.dumps({"key": [rec.m, rec.a, __version__], **vars(rec)}, sort_keys=True)
+                    line = json.dumps({"key": [rec.m, rec.a, __version__], **rec._asdict()}, sort_keys=True)
                     out.write(line.encode("ascii") + b"\n")
     return [cache[task] for task in tasks]  # the tasks are in (m, a) order
 
@@ -328,12 +341,10 @@ def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int
     Returns (violations, equality_count); violations hold (m, v, bound) and
     must be empty for every m >= 3.
     """
-    if not 2 <= m_min <= m_max:
-        raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
     violations = []
     equality = 0
-    for m in range(m_min, m_max + 1):
-        rec = compute_record(m, 1)
+    for m, a in APolicy("one").tasks(m_min, m_max):
+        rec = compute_record(m, a)
         bound = 2 * (rec.tau_m_minus_1 - 1)
         if rec.v < bound:
             violations.append((m, rec.v, bound))

@@ -17,7 +17,7 @@ import pytest
 
 import modhull
 from modhull.conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
-from modhull.experiments import SplitMix64, _record_task, exponent_summary, lower_bound_census, sample_coprime
+from modhull.experiments import SplitMix64, compute_record, exponent_summary, lower_bound_census, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull, normalize_to_box, twice_area
 from modhull.hullfast import verify_against_naive
 from modhull.hyperbola import (
@@ -180,7 +180,7 @@ def test_criterion_7_exponent_regression():
         for a in sorted({1} | set(sample_coprime(m, 2, EXP_SEED)))
     ]
     with ProcessPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(_record_task, tasks, chunksize=4))
+        records = list(pool.map(compute_record, *zip(*tasks), chunksize=4))
     summary = exponent_summary(records)
     worst = summary["overall"]["max_exponent"]
     assert worst <= EXPONENT_CEILING, worst

@@ -237,3 +237,168 @@ def test_missing_points_file(capsys):
     code, _, err = run_cli(capsys, "conic", "fit", "--points", "/nonexistent/p.txt")
     assert code == 2
     assert "error" in err
+
+
+# The exact help and error text at COLUMNS=80 (argparse wraps to the
+# terminal width): every command's --help, one usage error each, and the
+# range refusal of the three commands that walk a modulus range.
+CLI_TEXT = {
+    "--help": (0, """\
+usage: modhull [-h] {hull,sweep,verify,count,census,conic} ...
+
+Command-line front end. Subcommands: hull, sweep, verify, count, census, conic
+fit, conic count. Run `modhull <subcommand> -h` for flags.
+
+positional arguments:
+  {hull,sweep,verify,count,census,conic}
+    hull                hull of one H_a(m): vertex count and vertices
+    sweep               vertex counts over a modulus range, CSV out
+    verify              compare certified hulls against brute force
+    count               box count vs the expected main term
+    census              check v_1(m) >= 2*(tau(m-1)-1) over a range
+    conic               conic fitting and integral point counting
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "": (2, "", """\
+usage: modhull [-h] {hull,sweep,verify,count,census,conic} ...
+modhull: error: the following arguments are required: command
+"""),
+    "hull --help": (0, """\
+usage: modhull hull [-h] --m M --a A [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --m M
+  --a A
+  --json
+""", ""),
+    "hull": (2, "", """\
+usage: modhull hull [-h] --m M --a A [--json]
+modhull hull: error: the following arguments are required: --m, --a
+"""),
+    "sweep --help": (0, """\
+usage: modhull sweep [-h] --m-min M_MIN --m-max M_MAX --a-policy A_POLICY
+                     [--seed SEED] --out OUT [--workers WORKERS] [--no-cache]
+
+options:
+  -h, --help           show this help message and exit
+  --m-min M_MIN
+  --m-max M_MAX
+  --a-policy A_POLICY  one | all | sample:K
+  --seed SEED
+  --out OUT
+  --workers WORKERS
+  --no-cache
+""", ""),
+    "sweep": (2, "", """\
+usage: modhull sweep [-h] --m-min M_MIN --m-max M_MAX --a-policy A_POLICY
+                     [--seed SEED] --out OUT [--workers WORKERS] [--no-cache]
+modhull sweep: error: the following arguments are required: --m-min, --m-max, --a-policy, --out
+"""),
+    "verify --help": (0, """\
+usage: modhull verify [-h] --m-min M_MIN --m-max M_MAX --a-policy A_POLICY
+                      [--seed SEED]
+
+options:
+  -h, --help           show this help message and exit
+  --m-min M_MIN
+  --m-max M_MAX
+  --a-policy A_POLICY  one | all | sample:K
+  --seed SEED
+""", ""),
+    "verify": (2, "", """\
+usage: modhull verify [-h] --m-min M_MIN --m-max M_MAX --a-policy A_POLICY
+                      [--seed SEED]
+modhull verify: error: the following arguments are required: --m-min, --m-max, --a-policy
+"""),
+    "count --help": (0, """\
+usage: modhull count [-h] --m M --a A --U U --V V
+
+options:
+  -h, --help  show this help message and exit
+  --m M
+  --a A
+  --U U
+  --V V
+""", ""),
+    "count": (2, "", """\
+usage: modhull count [-h] --m M --a A --U U --V V
+modhull count: error: the following arguments are required: --m, --a, --U, --V
+"""),
+    "census --help": (0, """\
+usage: modhull census [-h] [--m-min M_MIN] --m-max M_MAX
+
+options:
+  -h, --help     show this help message and exit
+  --m-min M_MIN
+  --m-max M_MAX
+""", ""),
+    "census": (2, "", """\
+usage: modhull census [-h] [--m-min M_MIN] --m-max M_MAX
+modhull census: error: the following arguments are required: --m-max
+"""),
+    "conic --help": (0, """\
+usage: modhull conic [-h] {fit,count} ...
+
+positional arguments:
+  {fit,count}
+    fit        vanishing quadratic form through a point file
+    count      integral solutions of a conic in [0,H]^2
+
+options:
+  -h, --help   show this help message and exit
+""", ""),
+    "conic": (2, "", """\
+usage: modhull conic [-h] {fit,count} ...
+modhull conic: error: the following arguments are required: conic_command
+"""),
+    "conic fit --help": (0, """\
+usage: modhull conic fit [-h] --points POINTS
+
+options:
+  -h, --help       show this help message and exit
+  --points POINTS  file with one 'x y' pair per line
+""", ""),
+    "conic fit": (2, "", """\
+usage: modhull conic fit [-h] --points POINTS
+modhull conic fit: error: the following arguments are required: --points
+"""),
+    "conic count --help": (0, """\
+usage: modhull conic count [-h] --coeffs A B C D E F --H H
+
+options:
+  -h, --help            show this help message and exit
+  --coeffs A B C D E F
+  --H H
+""", ""),
+    "conic count": (2, "", """\
+usage: modhull conic count [-h] --coeffs A B C D E F --H H
+modhull conic count: error: the following arguments are required: --coeffs, --H
+"""),
+    "sweep --m-min 10 --m-max 5 --a-policy one --out r.csv": (2, "", "error: bad modulus range [10, 5]\n"),
+    "verify --m-min 10 --m-max 5 --a-policy one": (2, "", "error: bad modulus range [10, 5]\n"),
+    "census --m-min 1 --m-max 5": (2, "", "error: bad modulus range [1, 5]\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_TEXT))
+def test_cli_text_is_pinned(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse exits on --help and on a usage error
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == CLI_TEXT[argv]
+    assert not any(tmp_path.iterdir())  # no cache, no CSV
+
+
+def test_verify_reports_a_bad_policy_before_a_bad_range(capsys):
+    # verify parses --a-policy first, as sweep does
+    for command in (["verify"], ["sweep", "--out", "r.csv", "--no-cache"]):
+        code, out, err = run_cli(capsys, *command, "--m-min", "10", "--m-max", "5", "--a-policy", "bad")
+        assert (code, out, err) == (2, "", "error: bad a-policy 'bad'; expected one|all|sample:K\n")

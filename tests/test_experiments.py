@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -64,6 +63,24 @@ def test_sample_coprime_exhausts_tiny_moduli():
     assert len(vals) == 5 and len(set(vals)) == 5
 
 
+@pytest.mark.parametrize("m, k", [(5, 10**5), (12, 10**4), (30, 9), (1001, 5000)])
+def test_sample_coprime_stops_drawing_once_every_unit_is_chosen(monkeypatch, m, k):
+    # a k above phi(m) asks for every unit: the draws stay bounded by phi(m),
+    # not by k (10^5 residues of m = 5 once took 6.4 million draws)
+    phi = factorize(m).phi
+    real = SplitMix64.next
+    draws = []
+
+    def counted(self):
+        draws.append(None)
+        if len(draws) > 64 * (phi + 1):
+            raise AssertionError(f"more than 64*(phi + 1) draws for m = {m}")
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next", counted)
+    assert sample_coprime(m, k, 0) == APolicy("all").a_values(m)
+
+
 def test_sweep_example_values(tmp_path):
     records = run_sweep(3, 7, APolicy("one"), cache_file=tmp_path / "c.jsonl")
     assert [r.v for r in records] == [2, 2, 4, 2, 6]
@@ -111,7 +128,7 @@ def test_csv_schema_and_formatting(tmp_path):
         norm512=1.2345678e-07, method="naive", candidate_count=6, elapsed_ns=1500,
     )
     assert rec.csv_row() == "7,1,1,6,4,7,1,1,0,1.23457e-07,naive,6,1500"
-    rec = dataclasses.replace(rec, m=12, squarefree=False, exponent=math.log(6) / math.log(7), norm512=math.pi * 1e8)
+    rec = rec._replace(m=12, squarefree=False, exponent=math.log(6) / math.log(7), norm512=math.pi * 1e8)
     assert rec.csv_row() == "12,1,1,6,4,7,1,0,0.920782,3.14159e+08,naive,6,1500"
 
 
@@ -144,15 +161,27 @@ def test_sweep_cache_file_is_jsonl(tmp_path):
     assert obj["m"] == 10 and "key" in obj
 
 
-def test_sweep_cache_lines_keep_their_format(tmp_path):
-    # the format dataclasses.asdict gives, so existing caches of this version replay
+# the cache line of (m, a) = (7, 3) with elapsed_ns = 1500, byte for byte as
+# the package has always written it for this version
+CACHE_LINE_7_3 = (
+    '{"a": 3, "candidate_count": 6, "elapsed_ns": 1500, "exponent": 0.9207822211616018, "kernel": 7, '
+    f'"key": [7, 3, "{__version__}"], "m": 7, "method": "naive", "norm512": 2.667024879461478, "phi": 6, '
+    '"squarefree": true, "t": 1, "tau_m_minus_1": 4, "v": 6}'
+)
+
+
+def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
+    real = experiments.compute_record
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: real(m, a)._replace(elapsed_ns=1500))
     cache = tmp_path / "cache.jsonl"
-    records = run_sweep(3, 13, APolicy("all"), cache_file=cache)
-    expected = [
-        json.dumps({"key": [r.m, r.a, __version__], **dataclasses.asdict(r)}, sort_keys=True)
-        for r in records
-    ]
-    assert cache.read_text(encoding="ascii").split("\n") == expected + [""]
+    records = run_sweep(7, 7, APolicy("all"), cache_file=cache)
+    lines = cache.read_text(encoding="ascii").split("\n")
+    assert len(lines) == 7 and lines[2] == CACHE_LINE_7_3 and lines[-1] == ""
+    # a cache written in this format, by this version or an earlier build of
+    # it, replays to the same record
+    old = tmp_path / "old.jsonl"
+    old.write_text(CACHE_LINE_7_3 + "\n", encoding="ascii")
+    assert experiments._load_cache(old, 7, 7) == {(7, 3): records[2]}
 
 
 def test_pyproject_version_is_the_cache_version():
@@ -176,7 +205,7 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
     # (divisors of an int) would be counted as well
     monkeypatch.setattr(ntheory, "factorize", counting)
     monkeypatch.setattr(experiments, "factorize", counting)
-    records = run_sweep(3, 40, APolicy("all"), use_cache=False)
+    records = run_sweep(3, 40, APolicy("all"))
     assert len(records) == sum(len(APolicy("all").a_values(m)) for m in range(3, 41))
     assert len(calls) <= 2 * len(range(3, 41))
 
@@ -323,10 +352,13 @@ def test_two_processes_sweep_into_one_cache(tmp_path, monkeypatch):
         assert _mask_elapsed(records_to_csv(replay)) == _mask_elapsed((tmp_path / f"{lo}.csv").read_text())
 
 
-def test_sweep_without_cache(tmp_path):
-    r = run_sweep(10, 12, APolicy("one"), use_cache=False, cache_file=tmp_path / "x.jsonl")
+def test_sweep_without_cache(tmp_path, monkeypatch):
+    # a sweep given no cache file reads and writes none, not even the default
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path))
+    r = run_sweep(10, 12, APolicy("one"))
     assert len(r) == 3
-    assert not (tmp_path / "x.jsonl").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_workers_match_serial(tmp_path):
@@ -369,9 +401,9 @@ def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
 
 def test_sweep_rejects_bad_range():
     with pytest.raises(ValueError):
-        run_sweep(10, 5, APolicy("one"), use_cache=False)
+        run_sweep(10, 5, APolicy("one"))
     with pytest.raises(ValueError):
-        run_sweep(1, 5, APolicy("one"), use_cache=False)
+        run_sweep(1, 5, APolicy("one"))
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -394,7 +426,7 @@ def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     with pytest.raises(RuntimeError, match="no pool"):
-        run_sweep(10, 12, APolicy("one"), workers=100_000, use_cache=False)
+        run_sweep(10, 12, APolicy("one"), workers=100_000)
     assert asked == [min(100_000, os.cpu_count() or 1)]
 
 
