@@ -48,7 +48,6 @@ from .hullfast import (
     candidate_points,
     fast_hull,
     hull_method,
-    lower_left_candidates,
     verify_against_naive,
 )
 from .hyperbola import (

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hyperbola import Point
+from .hyperbola import ENUMERATION_CEILING, Point
 
 __all__ = [
     "InfiniteFamily",
@@ -217,7 +217,8 @@ def count_conic_points_in_box(
     """Exact count (and list) of integral solutions of g = 0 in [0, H]^2.
 
     Scans x and solves the remaining quadratic (or linear) equation in y
-    with exact integer square-root tests.
+    with exact integer square-root tests.  Raises ValueError when H exceeds
+    ENUMERATION_CEILING, before the scan.
     """
     if not isinstance(g, ConicForm):
         coeffs = tuple(int(v) for v in g)
@@ -228,6 +229,10 @@ def count_conic_points_in_box(
         g = ConicForm(*coeffs)
     if H < 0:
         raise ValueError("box size H must be >= 0")
+    # The line x = 0 has H + 1 solutions, about 100 bytes each: 115 MiB RSS
+    # at H = 10^6 and 1011 MiB at the ceiling (CPython 3.11, 64-bit Linux).
+    if H > ENUMERATION_CEILING:
+        raise ValueError(f"conic counts are limited to H <= {ENUMERATION_CEILING}, got H = {H}")
     A, B, C, D, E, F = g.coeffs
     sols: list[Point] = []
     for x in range(H + 1):

@@ -105,12 +105,15 @@ class APolicy:
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "APolicy":
-        if text == "one":
-            return APolicy("one")
-        if text == "all":
-            return APolicy("all")
+        if text in ("one", "all"):
+            return APolicy(text)
         if text.startswith("sample:"):
-            return APolicy("sample", k=int(text.split(":", 1)[1]), seed=seed)
+            try:
+                k = int(text.removeprefix("sample:"))
+            except ValueError:
+                pass  # not a count: the text is no policy
+            else:
+                return APolicy("sample", k=k, seed=seed)
         raise ValueError(f"bad a-policy {text!r}; expected one|all|sample:K")
 
     def max_count(self, m_min: int, m_max: int) -> int:
@@ -132,9 +135,11 @@ class APolicy:
 
     def tasks(self, m_min: int, m_max: int) -> Iterator[tuple[int, int]]:
         """The (m, a) pairs over m in [m_min, m_max] in (m, a) order, made
-        lazily; a bad range is refused at the call, before any residue list."""
+        lazily.  A bad range, or one past MODULUS_CEILING, is refused at the
+        call, before any residue list or record."""
         if not 2 <= m_min <= m_max:
             raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
+        HyperbolaSpec(m_max, 1)  # its refusal of m_max > MODULUS_CEILING, now, not at m_max's record
         return ((m, a) for m in range(m_min, m_max + 1) for a in self.a_values(m))
 
 
@@ -273,14 +278,6 @@ def _open_for_append(path: Path):
     return fh
 
 
-def _record_task(args: tuple) -> SweepRecord:
-    # The pool pickles this function by name, and each worker looks
-    # compute_record up when it runs: a fake that a test patches in, such as
-    # a local function, which cannot be pickled, still reaches forked workers.
-    m, a = args
-    return compute_record(m, a)
-
-
 def run_sweep(
     m_min: int,
     m_max: int,
@@ -312,9 +309,9 @@ def run_sweep(
 
                 pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
                 stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
-                computed = pool.map(_record_task, missing, chunksize=8)
+                computed = pool.map(compute_record, *zip(*missing), chunksize=8)
             else:
-                computed = map(_record_task, missing)
+                computed = map(compute_record, *zip(*missing))
             out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
             for rec in computed:
                 cache[rec.m, rec.a] = rec

@@ -49,6 +49,7 @@ Small moduli skip the search and hull every point.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geometry import ConvexPolygon, convex_hull
@@ -61,7 +62,6 @@ __all__ = [
     "candidate_points",
     "fast_hull",
     "hull_method",
-    "lower_left_candidates",
     "verify_against_naive",
 ]
 
@@ -85,11 +85,17 @@ def _pairs(m: int, n: int) -> list[Point]:
     return [(d, n // d) for d in divisors(n) if lo <= d <= m - 1]
 
 
-def lower_left_candidates(spec: HyperbolaSpec, cutoff: int) -> PointSet:
-    """All points of H_a(m) with x*y <= max(1, cutoff), sorted: the divisor
-    pairs of N = a + m*l for 0 <= l <= (cutoff - a)/m."""
-    m, a = spec.m, spec.a
-    return tuple(sorted(p for l in range((max(1, cutoff) - a) // m + 1) for p in _pairs(m, a + m * l)))
+def _corner_points(m: int, a: int, lo: int, hi: int) -> Iterator[Point]:
+    """The points of H_a(m) found from the products in (lo, hi]: the divisor
+    pairs (x, y) of a + m*l and (x, m - y) of (m - a) + m*l, each with its
+    central mirror (m - x, m - y).  Over (0, c] they are the points with
+    f <= c."""
+    for r, mirror in ((a, False), (m - a, True)):
+        for l in range((lo - r) // m + 1, (hi - r) // m + 1):
+            for x, y in _pairs(m, r + m * l):
+                y = m - y if mirror else y
+                yield x, y
+                yield m - x, m - y
 
 
 def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
@@ -122,17 +128,13 @@ def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
 def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
     """The hull of H_a(m) and the points it was hulled from: those with
     f <= c for the first c = m * 2^k the certificate accepts.  Each round
-    adds the points of the a + m*l and (m - a) + m*l in (prev, c], and
-    hulls again only when it added one."""
+    adds the corner points of the products in (prev, c], and hulls again
+    only when it added one."""
     m, a = spec.m, spec.a
     pts: set[Point] = set()
     hulled, prev, c = 0, 0, m
     while True:
-        for r, mirror in ((a, False), (m - a, True)):
-            for l in range((prev - r) // m + 1, (c - r) // m + 1):
-                for x, y in _pairs(m, r + m * l):
-                    y = m - y if mirror else y
-                    pts.update(((x, y), (m - x, m - y)))
+        pts.update(_corner_points(m, a, prev, c))
         if len(pts) > hulled:
             poly, hulled = convex_hull(pts), len(pts)
         if _certifies(poly, m, c):

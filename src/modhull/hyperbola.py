@@ -41,16 +41,17 @@ PointSet = tuple[Point, ...]
 # the factoring ceiling 2**63.
 MODULUS_CEILING = 2**31
 
-# Largest modulus enumerate_points accepts, and largest (clamped) U that
-# count_in_box accepts.  Enumeration holds phi(m) point tuples plus the
-# cached inverse table, about 180 bytes a point: one call at m = 9999991
-# peaked at 1780 MiB RSS.  count_in_box holds one chunk of _COUNT_CHUNK
-# values of x at a time (a 5.0 MiB tracemalloc peak at m = 2^31 - 1 with
-# U = 10^5 and 10^6), so for it the ceiling bounds the run time, about
-# 0.9 s per 10^6 values of x.  CPython 3.11, 64-bit Linux.
+# Largest modulus enumerate_points accepts, largest (clamped) U that
+# count_in_box accepts, and largest box side H that
+# conics.count_conic_points_in_box accepts.  Enumeration holds phi(m) point
+# tuples plus the cached inverse table, about 180 bytes a point: one call
+# at m = 9999991 peaked at 1780 MiB RSS.  count_in_box holds one chunk of
+# _COUNT_CHUNK values of x at a time (a 5.0 MiB tracemalloc peak at
+# m = 2^31 - 1 with U = 10^5 and 10^6), so for it the ceiling bounds the
+# run time, about 0.9 s per 10^6 values of x.  CPython 3.11, 64-bit Linux.
 ENUMERATION_CEILING = 10**7
 
-# x values count_in_box inverts in one batch
+# x values inverted in one batch, by count_in_box and by enumeration
 _COUNT_CHUNK = 2**15
 
 
@@ -70,22 +71,21 @@ class HyperbolaSpec:
         object.__setattr__(self, "a", a)
 
 
-def _unit_inverses(m: int, upper: int) -> Iterator[list[int]]:
-    """The inverses mod m of the units x <= upper, in order of x, as one
-    batched list per _COUNT_CHUNK values of x."""
+def _unit_inverses(m: int, upper: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The units x <= upper and their inverses mod m, in order of x, as one
+    batched (units, inverses) pair per _COUNT_CHUNK values of x."""
     for lo in range(1, upper + 1, _COUNT_CHUNK):
         xs = [x for x in range(lo, min(lo + _COUNT_CHUNK, upper + 1)) if math.gcd(x, m) == 1]
-        yield batch_mod_inv(xs, m)
+        yield xs, batch_mod_inv(xs, m)
 
 
 @lru_cache(maxsize=1)
-def _full_inverse_table(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _full_inverse_table(m: int) -> tuple[tuple[list[int], list[int]], ...]:
     # Sweeps visit several residues per modulus; share the inversion pass.
     # Every caller (sweeps, compute_record, verify_against_naive, modhull
     # verify, the bench oracle) visits one modulus's residues in a row, so
     # only the last table is reused and an older one would only hold memory.
-    xs = [x for x in range(1, m) if math.gcd(x, m) == 1]
-    return tuple(xs), tuple(batch_mod_inv(xs, m))
+    return tuple(_unit_inverses(m, m - 1))
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:
@@ -96,8 +96,7 @@ def enumerate_points(spec: HyperbolaSpec) -> PointSet:
     m, a = spec.m, spec.a
     if m > ENUMERATION_CEILING:
         raise ValueError(f"enumeration is limited to m <= {ENUMERATION_CEILING} (~180 bytes a point), got m = {m}")
-    xs, invs = _full_inverse_table(m)
-    return tuple((x, a * inv % m) for x, inv in zip(xs, invs))
+    return tuple((x, a * inv % m) for xs, invs in _full_inverse_table(m) for x, inv in zip(xs, invs))
 
 
 def count_in_box(spec: HyperbolaSpec, U: int, V: int) -> int:
@@ -113,7 +112,7 @@ def count_in_box(spec: HyperbolaSpec, U: int, V: int) -> int:
         raise ValueError(f"box counts are limited to U <= {ENUMERATION_CEILING}, got U = {U}")
     if U == 0 or V == 0:
         return 0
-    return sum(1 for invs in _unit_inverses(m, U) for inv in invs if a * inv % m <= V)
+    return sum(1 for _, invs in _unit_inverses(m, U) for inv in invs if a * inv % m <= V)
 
 
 def predicted_count(spec: HyperbolaSpec, U: int, V: int) -> Fraction:
@@ -137,12 +136,12 @@ def format_points(points: PointSet) -> str:
 def parse_points(text: str) -> PointSet:
     points = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}")
-        points.append((int(parts[0]), int(parts[1])))
+        try:
+            if line.strip():  # blank lines are skipped
+                x, y = map(int, line.split())
+                points.append((x, y))
+        except ValueError:  # a token count other than two, or a token that is no integer
+            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
     return tuple(points)
 
 

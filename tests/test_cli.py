@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modhull import cli, hullfast, hyperbola
+from modhull import cli, experiments, hullfast, hyperbola
 from modhull.cli import main
 from modhull.experiments import SWEEP_CEILING, APolicy, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull
@@ -173,6 +173,43 @@ def test_count_refuses_box_beyond_ceiling(capsys, monkeypatch):
     assert out == ""
 
 
+def test_range_past_the_modulus_ceiling_is_refused_first(tmp_path, capsys, monkeypatch):
+    # sweep and census compute no record, and write no cache or CSV;
+    # verify reports this before its enumeration ceiling
+    def compute(m, a):
+        raise AssertionError(f"record computed for ({m}, {a})")
+
+    monkeypatch.setattr(experiments, "compute_record", compute)
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    span = ["--m-min", "2147483647", "--m-max", "2147483649"]
+    for argv in (
+        ["sweep", *span, "--a-policy", "one", "--out", str(tmp_path / "r.csv")],
+        ["census", *span],
+        ["verify", *span, "--a-policy", "one"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: modulus must be in [2, 2**31], got 2147483649\n"), argv
+    assert not any(tmp_path.iterdir())
+
+
+def test_conic_count_refuses_box_beyond_ceiling(capsys):
+    code, out, err = run_cli(capsys, "conic", "count", "--coeffs", "1", "0", "0", "0", "0", "0", "--H", "10000001")
+    assert code == 2
+    assert err.startswith("error:") and "10000000" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("policy", ["sample:abc", "sample:", "sample:1.5"])
+def test_bad_sample_count_is_a_bad_policy(tmp_path, capsys, monkeypatch, policy):
+    monkeypatch.chdir(tmp_path)
+    for command in (["verify"], ["sweep", "--out", "r.csv", "--no-cache"]):
+        code, out, err = run_cli(capsys, *command, "--m-min", "5", "--m-max", "9", "--a-policy", policy)
+        assert (code, out, err) == (2, "", f"error: bad a-policy {policy!r}; expected one|all|sample:K\n")
+        code, out, err = run_cli(capsys, *command, "--m-min", "5", "--m-max", "9", "--a-policy", "sample:0")
+        assert (code, out, err) == (2, "", "error: sample policy needs k >= 1\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_writes_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
     out_file = tmp_path / "r.csv"
@@ -213,6 +250,13 @@ def test_conic_fit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "conic", "fit", "--points", str(pts))
     assert code == 0
     assert out.strip() == "0 1 0 0 0 -12"
+
+
+def test_conic_fit_names_the_bad_line(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1 2\n3 x\n")
+    code, out, err = run_cli(capsys, "conic", "fit", "--points", str(pts))
+    assert (code, out, err) == (2, "", "error: line 2: expected two integers, got '3 x'\n")
 
 
 def test_conic_fit_full_rank(tmp_path, capsys):

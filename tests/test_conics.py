@@ -17,7 +17,7 @@ from modhull.conics import (
     minors_singular_mod,
     poly_roots_mod,
 )
-from modhull.hyperbola import HyperbolaSpec, enumerate_points
+from modhull.hyperbola import ENUMERATION_CEILING, HyperbolaSpec, enumerate_points
 from modhull.ntheory import divisors
 
 
@@ -235,6 +235,13 @@ def test_count_examples():
 def test_count_rejects_zero_form():
     with pytest.raises(InfiniteFamily):
         count_conic_points_in_box((0, 0, 0, 0, 0, 0), 10)
+
+
+def test_count_refuses_box_beyond_ceiling():
+    # refused before the scan: the line x = 0 has H + 1 solutions
+    for H in (ENUMERATION_CEILING + 1, 10**30):
+        with pytest.raises(ValueError, match=str(ENUMERATION_CEILING)):
+            count_conic_points_in_box((1, 0, 0, 0, 0, 0), H)
 
 
 def test_count_degenerate_with_vertical_line():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -41,10 +42,11 @@ def test_policy_parsing():
     assert APolicy.parse("one") == APolicy("one")
     assert APolicy.parse("all") == APolicy("all")
     assert APolicy.parse("sample:3", seed=9) == APolicy("sample", k=3, seed=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k >= 1"):
         APolicy.parse("sample:0")
-    with pytest.raises(ValueError):
-        APolicy.parse("some")
+    for text in ("some", "sample:abc", "sample:", "sample:1.5"):
+        with pytest.raises(ValueError, match=re.escape(f"bad a-policy {text!r}; expected one|all|sample:K")):
+            APolicy.parse(text)
 
 
 def test_policy_a_values():
@@ -370,15 +372,20 @@ def test_sweep_workers_match_serial(tmp_path):
     assert _mask_elapsed((tmp_path / "b.jsonl").read_text()) == _mask_elapsed((tmp_path / "a.jsonl").read_text())
 
 
-def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
-    # the workers inherit the patched compute_record when they are forked
-    log = tmp_path / "computed.log"
-    real = experiments.compute_record
+_REAL_COMPUTE_RECORD = experiments.compute_record
 
-    def logged(m, a):
-        with open(log, "a") as fh:
-            fh.write(f"{m} {a}\n")
-        return real(m, a)
+
+def _logged_compute_record(log, m, a):
+    """compute_record, logging each (m, a) to a file the workers share."""
+    with open(log, "a") as fh:
+        fh.write(f"{m} {a}\n")
+    return _REAL_COMPUTE_RECORD(m, a)
+
+
+def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
+    # the pool pickles the patched compute_record, a partial of a
+    # module-level function, and the workers run it
+    log = tmp_path / "computed.log"
 
     class FullDisk:
         def __enter__(self):
@@ -390,13 +397,13 @@ def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
         def write(self, data):
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(experiments, "compute_record", logged)
+    monkeypatch.setattr(experiments, "compute_record", functools.partial(_logged_compute_record, log))
     monkeypatch.setattr(experiments, "_open_for_append", lambda path: FullDisk())
     with pytest.raises(OSError):
         run_sweep(3, 120, APolicy("all"), workers=2, cache_file=tmp_path / "c.jsonl")
     total = sum(len(APolicy("all").a_values(m)) for m in range(3, 121))
     computed = len(log.read_text().splitlines()) if log.exists() else 0
-    assert computed < total // 4  # the queued tasks were cancelled, not run
+    assert 0 < computed < total // 4  # the workers ran the fake; the queued tasks were cancelled
 
 
 def test_sweep_rejects_bad_range():
@@ -448,6 +455,21 @@ def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
     assert not (tmp_path / "c.jsonl").exists()
     # the bounds: one residue, k residues, or m - 1 >= phi(m) per modulus
     assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 5 + 6 + 7 + 8]
+
+
+def test_sweep_and_census_refuse_moduli_past_the_ceiling(tmp_path, monkeypatch):
+    # refused at the call, before any record is computed or cached
+    def compute(m, a):
+        raise AssertionError(f"record computed for ({m}, {a})")
+
+    monkeypatch.setattr(experiments, "compute_record", compute)
+    message = re.escape("modulus must be in [2, 2**31], got 2147483649")
+    for policy in (APolicy("one"), APolicy("sample", k=2)):
+        with pytest.raises(ValueError, match=message):
+            run_sweep(2**31 - 1, 2**31 + 1, policy, cache_file=tmp_path / "c.jsonl")
+    with pytest.raises(ValueError, match=message):
+        lower_bound_census(2**31 - 1, 2**31 + 1)
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_census_examples():

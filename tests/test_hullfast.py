@@ -10,74 +10,80 @@ from modhull.geometry import ConvexPolygon, contains_point, convex_hull
 from modhull.hullfast import (
     ENUMERATE_BELOW,
     _certifies,
+    _corner_points,
     candidate_points,
     fast_hull,
     hull_method,
-    lower_left_candidates,
     verify_against_naive,
 )
 from modhull.hyperbola import HyperbolaSpec, Point, enumerate_points
 
 
-# The four-corner walk at one cutoff c, from l = 0: the point sets the
-# certificate tests hand to _certifies.
-def corner_points(spec: HyperbolaSpec, c: int) -> set[Point]:
-    """Every point of H_a(m) with f <= c."""
-    m = spec.m
-    pts: set[Point] = set()
-    for x, y in lower_left_candidates(spec, c):
-        pts.add((x, y))
-        pts.add((m - x, m - y))
-    for x, y in lower_left_candidates(HyperbolaSpec(m, m - spec.a), c):
-        pts.add((x, m - y))
-        pts.add((m - x, y))
-    return pts
-
-
-def filtered_enumeration(spec, cutoff):
-    """Independent route to the candidate set: filter the full point list."""
-    return tuple(p for p in enumerate_points(spec) if p[0] * p[1] <= max(1, cutoff))
-
-
-def test_lower_left_examples():
-    s7 = HyperbolaSpec(7, 1)
-    assert lower_left_candidates(s7, 7) == ((1, 1),)
-    assert lower_left_candidates(s7, 15) == ((1, 1), (2, 4), (3, 5), (4, 2), (5, 3))
-    assert lower_left_candidates(s7, 0) == ((1, 1),)  # cutoff clamps to 1
-
-
-def test_lower_left_divisor_walk_vs_filter():
-    # cutoffs below (m-1)^2 keep only some points; the divisor walk must
-    # find exactly those
-    for m in [11, 12, 30, 97, 100, 211, 360, 719, 1009, 2048]:
-        for a in {1, m - 1, 7 % m if math.gcd(7, m) == 1 else 1}:
-            spec = HyperbolaSpec(m, a)
-            for cutoff in (a, 2 * m, 7 * m + 3, m * m // 2, (m - 1) ** 2 - 1):
-                assert lower_left_candidates(spec, cutoff) == filtered_enumeration(
-                    spec, cutoff
-                ), (m, a, cutoff)
-
-
-def test_lower_left_shortcut_boundary():
-    # at cutoff = (m-1)^2 every point has x*y <= cutoff, so the walk returns
-    # the full enumeration; one below, exactly the filtered points
-    for m, a in [(13, 1), (20, 3), (59, 58)]:
-        spec = HyperbolaSpec(m, a)
-        full = enumerate_points(spec)
-        assert lower_left_candidates(spec, (m - 1) ** 2) == full
-        assert lower_left_candidates(spec, (m - 1) ** 2 - 1) == filtered_enumeration(
-            spec, (m - 1) ** 2 - 1
-        )
-
-
-def test_lower_left_empty_below_minimal_product():
-    spec = HyperbolaSpec(7, 3)
-    assert lower_left_candidates(spec, 2) == ()  # minimal product is a = 3
-
-
 def corner_product(p, m):
     """f(x, y) = min(x, m-x) * min(y, m-y), the quantity the certificate bounds."""
     return min(p[0], m - p[0]) * min(p[1], m - p[1])
+
+
+def small_f(spec: HyperbolaSpec, c: int) -> set[Point]:
+    """Independent route to the corner points: filter the full point list."""
+    return {p for p in enumerate_points(spec) if corner_product(p, spec.m) <= c}
+
+
+def lower_left(spec: HyperbolaSpec, c: int) -> set[Point]:
+    """The points with x*y <= max(1, c): a lower-left set, which need not
+    contain the centre."""
+    return {p for p in enumerate_points(spec) if p[0] * p[1] <= max(1, c)}
+
+
+def test_lower_left_examples():
+    # m = 7, a = 1: the product 1 gives (1, 1) and its mirror (6, 6); the
+    # product 6 = (m - a) + 0*m gives every point, (1, 1) again among them.
+    # The lower-left part x*y <= c of the walk is the old one-corner list.
+    every = set(enumerate_points(HyperbolaSpec(7, 1)))
+    assert set(_corner_points(7, 1, 0, 5)) == {(1, 1), (6, 6)}
+    assert set(_corner_points(7, 1, 5, 7)) == every
+    assert set(_corner_points(7, 1, 0, 7)) == every
+    assert set(_corner_points(7, 1, 5, 5)) == set()  # an empty window
+    for c, below in ((7, {(1, 1)}), (15, {(1, 1), (2, 4), (3, 5), (4, 2), (5, 3)})):
+        assert {p for p in _corner_points(7, 1, 0, c) if p[0] * p[1] <= c} == below
+
+
+def test_lower_left_divisor_walk_vs_filter():
+    # cutoffs below (m-1)^2 keep only some points; the walk must find
+    # exactly those, and at (m-1)^2 every point; its lower-left part is the
+    # points with x*y <= c
+    for m in [11, 12, 30, 97, 100, 211, 360, 719, 1009, 2048]:
+        for a in {1, m - 1, 7 % m if math.gcd(7, m) == 1 else 1}:
+            spec = HyperbolaSpec(m, a)
+            for cutoff in (a, 2 * m, 7 * m + 3, m * m // 2, (m - 1) ** 2 - 1, (m - 1) ** 2):
+                walk = set(_corner_points(m, a, 0, cutoff))
+                assert walk == small_f(spec, cutoff), (m, a, cutoff)
+                assert {p for p in walk if p[0] * p[1] <= cutoff} == lower_left(spec, cutoff)
+
+
+def test_lower_left_shortcut_boundary():
+    # at cutoff = (m-1)^2 every point has f <= cutoff, so the walk gives
+    # the full enumeration; one below, exactly the filtered points
+    for m, a in [(13, 1), (20, 3), (59, 58)]:
+        spec = HyperbolaSpec(m, a)
+        assert set(_corner_points(m, a, 0, (m - 1) ** 2)) == set(enumerate_points(spec))
+        c = (m - 1) ** 2 - 1
+        assert set(_corner_points(m, a, 0, c)) == small_f(spec, c), (m, a)
+
+
+def test_lower_left_empty_below_minimal_product():
+    # (7, 3): the least products are a = 3 and m - a = 4, both above 2
+    assert set(_corner_points(7, 3, 0, 2)) == set()
+
+
+def test_corner_walk_windows_add_up():
+    # the rounds of the search walk (0, c1] and then (c1, c2]: together they
+    # give the walk over (0, c2], and a point new in the second has f > c1
+    for m, a in [(11, 2), (30, 7), (97, 1), (128, 45), (1009, 500)]:
+        for c1, c2 in ((m, 2 * m), (a, 3 * m + 1), (m // 2, m * m // 2), (0, m)):
+            first, second = set(_corner_points(m, a, 0, c1)), set(_corner_points(m, a, c1, c2))
+            assert first | second == set(_corner_points(m, a, 0, c2)), (m, a, c1, c2)
+            assert all(corner_product(p, m) > c1 for p in second - first), (m, a, c1, c2)
 
 
 def lattice_max_outside(poly, m):
@@ -181,7 +187,7 @@ def test_certificate_soundness_lattice_oracle():
                 c = m * k // 2
                 if c >= (m - 1) ** 2:
                     break
-                for pts in (corner_points(spec, c), lower_left_candidates(spec, c)):
+                for pts in (set(_corner_points(m, a, 0, c)), lower_left(spec, c)):
                     if not pts:
                         continue  # c below the smallest product a
                     poly = convex_hull(pts)
@@ -202,7 +208,7 @@ def test_certificate_matches_reference():
             spec = HyperbolaSpec(m, a)
             for k in (1, 2, 3, 4, 6, 8, 16):
                 for c in (m * k // 2 - 1, m * k // 2, m * k // 2 + 1):
-                    for pts in (corner_points(spec, c), lower_left_candidates(spec, c)):
+                    for pts in (set(_corner_points(m, a, 0, c)), lower_left(spec, c)):
                         if not pts:
                             continue
                         poly = convex_hull(pts)
@@ -253,10 +259,8 @@ def test_edge_maximum_examples():
 
 def test_corner_points_are_exactly_small_f():
     for m, a in [(11, 2), (30, 7), (97, 1), (128, 45)]:
-        spec = HyperbolaSpec(m, a)
         for c in (m // 2, m, 3 * m):
-            expected = {p for p in enumerate_points(spec) if corner_product(p, m) <= c}
-            assert corner_points(spec, c) == expected, (m, a, c)
+            assert set(_corner_points(m, a, 0, c)) == small_f(HyperbolaSpec(m, a), c), (m, a, c)
 
 
 def test_real_pruning_keeps_hull_small_sweep():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,15 +129,19 @@ def test_point_text_roundtrip():
     text = format_points(pts)
     assert text == "1 2\n30 4\n5 996\n"
     assert parse_points(text) == pts
-    with pytest.raises(ValueError):
-        parse_points("1 2 3\n")
+    # any whitespace separates the two integers; a bad token count or a
+    # token that is no integer names its line
+    assert parse_points("1\t2\n\n  3   4 \n") == ((1, 2), (3, 4))
+    for line in ("3 x", "3", "3 4 5", "3 4.0"):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: expected two integers, got {line!r}")):
+            parse_points(f"1 2\n{line}\n")
 
 
 def test_enumeration_ceiling_fires_before_allocating(monkeypatch):
     # the inverse table is where enumeration allocates; above the ceiling
     # it must never be reached
     calls = []
-    monkeypatch.setattr(hyperbola, "_full_inverse_table", lambda m: calls.append(m) or ((), ()))
+    monkeypatch.setattr(hyperbola, "_full_inverse_table", lambda m: calls.append(m) or ())
     for m in (ENUMERATION_CEILING + 1, 2**31):
         with pytest.raises(ValueError, match="enumeration is limited"):
             enumerate_points(HyperbolaSpec(m, 1))
