@@ -118,13 +118,13 @@ class APolicy:
 
     def max_count(self, m_min: int, m_max: int) -> int:
         """An upper bound on the residues visited over m in [m_min, m_max],
-        from the arguments alone: the units mod m number at most m - 1."""
+        from the arguments alone: the units mod m number at most m - 1, and a
+        sample holds at most k of them."""
         r = m_max - m_min + 1
         if self.kind == "one":
             return r
-        if self.kind == "all":
-            return r * (m_min + m_max - 2) // 2
-        return r * self.k
+        every = r * (m_min + m_max - 2) // 2
+        return every if self.kind == "all" else min(r * self.k, every)
 
     def a_values(self, m: int) -> list[int]:
         if self.kind == "one":
@@ -292,6 +292,21 @@ def run_sweep(
     Misses are computed, possibly across worker processes (at most one per
     CPU, whatever larger number is asked for), and each one is appended to
     the cache as it arrives, so an interrupted sweep keeps what it computed.
+
+    A missing (m, a) with m - a < a whose partner (m, m - a) is cached or
+    among the sweep's tasks is not hulled: its record is the partner's with
+    a replaced.  The lattice map (x, y) -> (x, m - y), of determinant -1,
+    carries H_a(m) onto H_{m-a}(m), since x*(m - y) = -a mod m, and the hull
+    of the one onto the hull of the other, so v is the same.  So is
+    candidate_count: below ENUMERATE_BELOW both hull all phi(m) points, and
+    above it _corner_points walks the progressions a + m*l and (m - a) + m*l
+    for both residues, with their roles swapped, so each round of the one
+    search finds the mirror images of the other's points; f and K are
+    invariant under the map, so both certificates accept in the same round.
+    The other columns depend on m and v alone, and elapsed_ns is the time
+    of the one hull the two records share.  The mirror records are built
+    here, in (m, a) order after their partners, so the serial and the
+    parallel sweep append the same lines.
     """
     walk = policy.tasks(m_min, m_max)
     if workers < 1:
@@ -303,18 +318,23 @@ def run_sweep(
 
     missing = [task for task in tasks if task not in cache]
     if missing:
+        held = cache.keys() | missing  # a missing partner is hulled, before its mirror
+        mirrored = {(m, a) for m, a in missing if m - a < a and (m, m - a) in held}
+        hulled = [task for task in missing if task not in mirrored]
+        columns = tuple(zip(*hulled)) or ((), ())  # the m and a columns, empty when nothing is hulled
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
                 stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
-                computed = pool.map(compute_record, *zip(*missing), chunksize=8)
+                computed = pool.map(compute_record, *columns, chunksize=8)
             else:
-                computed = map(compute_record, *zip(*missing))
+                computed = map(compute_record, *columns)
             out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
-            for rec in computed:
-                cache[rec.m, rec.a] = rec
+            for m, a in missing:  # in (m, a) order: a mirror follows its partner
+                rec = cache[m, m - a]._replace(a=a) if (m, a) in mirrored else next(computed)
+                cache[m, a] = rec
                 if out is not None:
                     line = json.dumps({"key": [rec.m, rec.a, __version__], **rec._asdict()}, sort_keys=True)
                     out.write(line.encode("ascii") + b"\n")

@@ -244,6 +244,20 @@ def test_sweep_byte_identical_reruns(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_sweep_sample_of_more_than_every_unit_runs(tmp_path, capsys, monkeypatch):
+    # sample:K draws at most phi(m) units, so a K far past the ceiling's
+    # share of a modulus is no reason to refuse a small range; the second
+    # sweep replays the first one's records
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    for k in ("1000000", "100"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m-min", "3", "--m-max", "10", "--a-policy", f"sample:{k}",
+            "--out", str(tmp_path / f"{k}.csv"),
+        )
+        assert (code, err) == (0, "") and "wrote 30 records" in out
+    assert (tmp_path / "1000000.csv").read_bytes() == (tmp_path / "100.csv").read_bytes()
+
+
 def test_conic_fit(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text(format_points(((1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1))))

@@ -364,12 +364,75 @@ def test_sweep_without_cache(tmp_path, monkeypatch):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    serial = run_sweep(10, 60, APolicy("one"), cache_file=tmp_path / "a.jsonl")
-    parallel = run_sweep(10, 60, APolicy("one"), workers=2, cache_file=tmp_path / "b.jsonl")
-    strip = lambda recs: [(r.m, r.a, r.v, r.phi, r.candidate_count) for r in recs]
-    assert strip(serial) == strip(parallel)
-    # both paths append the same lines, in the same order
-    assert _mask_elapsed((tmp_path / "b.jsonl").read_text()) == _mask_elapsed((tmp_path / "a.jsonl").read_text())
+    # "one" has no mirror pairs; under "all" the main process builds the mirrors
+    for policy, m_min, m_max in (("one", 10, 60), ("all", 3, 60)):
+        a, b = tmp_path / f"{policy}-a.jsonl", tmp_path / f"{policy}-b.jsonl"
+        serial = run_sweep(m_min, m_max, APolicy(policy), cache_file=a)
+        parallel = run_sweep(m_min, m_max, APolicy(policy), workers=2, cache_file=b)
+        strip = lambda recs: [(r.m, r.a, r.v, r.phi, r.candidate_count) for r in recs]
+        assert strip(serial) == strip(parallel)
+        # both paths append the same lines, in the same order
+        assert _mask_elapsed(b.read_text()) == _mask_elapsed(a.read_text())
+
+
+def _masked(records) -> list[SweepRecord]:
+    return [r._replace(elapsed_ns=0) for r in records]
+
+
+@pytest.mark.parametrize("m_min, m_max", [(3, 150), (1000, 1004)])
+def test_all_sweep_matches_records_computed_one_by_one(m_min, m_max):
+    # a mirror (m, a), m - a < a, takes the record of (m, m - a): below and
+    # above ENUMERATE_BELOW it is its own record, elapsed_ns aside
+    swept = run_sweep(m_min, m_max, APolicy("all"))
+    assert _masked(swept) == _masked(compute_record(m, a) for m, a in APolicy("all").tasks(m_min, m_max))
+
+
+def test_cold_all_sweep_hulls_each_mirror_pair_once(monkeypatch):
+    hulled = []
+    real = experiments.compute_record
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: hulled.append((m, a)) or real(m, a))
+    records = run_sweep(3, 60, APolicy("all"))
+    assert len(hulled) == sum(factorize(m).phi for m in range(3, 61)) // 2 == len(records) // 2
+    assert all(2 * a < m for m, a in hulled)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_of_mirrors_alone_hulls_nothing(tmp_path, monkeypatch, workers):
+    # the cache holds (7, 1), (7, 2) and (7, 3): each missing task is the
+    # mirror of a cached record, so the list of tasks to hull is empty
+    cache = tmp_path / "cache.jsonl"
+    cold = run_sweep(7, 7, APolicy("all"), cache_file=cache)
+    cache.write_bytes(b"".join(cache.read_bytes().splitlines(keepends=True)[:3]))
+    _forbid_compute(monkeypatch)
+    assert run_sweep(7, 7, APolicy("all"), workers=workers, cache_file=cache) == cold
+    assert len(cold) == 6
+
+
+def test_interrupted_all_sweep_keeps_its_mirror_records(tmp_path, monkeypatch):
+    # the eleventh hull, of (9, 1), is interrupted: the records of m <= 8,
+    # ten hulled and ten read off their partners, are all in the cache
+    cache = tmp_path / "cache.jsonl"
+    real = experiments.compute_record
+    hulled = []
+
+    def compute_ten(m, a):
+        if len(hulled) == 10:
+            raise KeyboardInterrupt
+        hulled.append((m, a))
+        return real(m, a)
+
+    monkeypatch.setattr(experiments, "compute_record", compute_ten)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(3, 30, APolicy("all"), cache_file=cache)
+    kept = experiments._load_cache(cache, 3, 30)
+    assert list(kept) == list(APolicy("all").tasks(3, 8))
+    assert _masked(kept.values()) == _masked(compute_record(m, a) for m, a in kept)
+    # a later sweep replays those lines and hulls from (9, 1) on
+    hulled.clear()
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: hulled.append((m, a)) or real(m, a))
+    records = run_sweep(3, 30, APolicy("all"), cache_file=cache)
+    assert records[: len(kept)] == list(kept.values())
+    assert hulled[0] == (9, 1) and len(hulled) == (len(records) - len(kept)) // 2
 
 
 _REAL_COMPUTE_RECORD = experiments.compute_record
@@ -455,6 +518,7 @@ def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
     assert not (tmp_path / "c.jsonl").exists()
     # the bounds: one residue, k residues, or m - 1 >= phi(m) per modulus
     assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 5 + 6 + 7 + 8]
+    assert APolicy("sample", 10).max_count(5, 9) == 4 + 5 + 6 + 7 + 8  # a sample holds at most every unit
 
 
 def test_sweep_and_census_refuse_moduli_past_the_ceiling(tmp_path, monkeypatch):

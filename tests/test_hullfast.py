@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from modhull import hullfast, hyperbola
-from modhull.geometry import ConvexPolygon, contains_point, convex_hull
+from modhull.geometry import ConvexPolygon, UnimodularMap, contains_point, convex_hull, transform_polygon
 from modhull.hullfast import (
     ENUMERATE_BELOW,
     _certifies,
@@ -159,6 +159,30 @@ def test_fast_hull_examples():
     for m, a in [(7, 1), (101, 1), (1009, 1), (4096, 2047)]:
         spec = HyperbolaSpec(m, a)
         assert fast_hull(spec) == convex_hull(enumerate_points(spec))
+
+
+def _mirror_pairs():
+    """Every unit a of m < 200, then 200 seeded pairs with m log-uniform in
+    [ENUMERATE_BELOW, 2^31]."""
+    for m in range(2, 200):
+        yield from ((m, a) for a in range(1, m) if math.gcd(a, m) == 1)
+    rng = random.Random(14)
+    for _ in range(200):
+        m = int(math.exp(rng.uniform(math.log(ENUMERATE_BELOW), math.log(2**31))))
+        a = rng.randrange(1, m)
+        while math.gcd(a, m) != 1:
+            a = rng.randrange(1, m)
+        yield m, a
+
+
+def test_mirror_residues_share_hull_and_candidate_count():
+    # (x, y) -> (x, m - y) carries H_a(m) onto H_{m-a}(m): the sweep reads
+    # the record of (m, m - a) off its partner's, candidate_count included
+    for m, a in _mirror_pairs():
+        spec, mirror = HyperbolaSpec(m, a), HyperbolaSpec(m, m - a)
+        flip = UnimodularMap(1, 0, 0, -1, 0, m)
+        assert transform_polygon(fast_hull(spec), flip) == fast_hull(mirror), (m, a)
+        assert len(candidate_points(spec)) == len(candidate_points(mirror)), (m, a)
 
 
 def test_fast_hull_methods_dispatch():
