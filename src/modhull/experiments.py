@@ -205,7 +205,7 @@ def compute_record(m: int, a: int) -> SweepRecord:
     spec = HyperbolaSpec(m, a)
     start = time.perf_counter_ns()
     cands = candidate_points(spec)
-    poly = convex_hull(cands)
+    poly = convex_hull(cands, mirror=m)  # see candidate_points
     elapsed = time.perf_counter_ns() - start
     phi, kernel, tau_m_minus_1 = _modulus_stats(m)
     t = m // kernel
@@ -230,6 +230,10 @@ def compute_record(m: int, a: int) -> SweepRecord:
 
 
 # --- cache: one JSON record per line, appended as each record is computed ---
+
+
+# json.dumps(obj, sort_keys=True) without building an encoder per line
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def default_cache_file() -> Path:
@@ -336,7 +340,7 @@ def run_sweep(
                 rec = cache[m, m - a]._replace(a=a) if (m, a) in mirrored else next(computed)
                 cache[m, a] = rec
                 if out is not None:
-                    line = json.dumps({"key": [rec.m, rec.a, __version__], **rec._asdict()}, sort_keys=True)
+                    line = _encode({"key": [rec.m, rec.a, __version__], **rec._asdict()})
                     out.write(line.encode("ascii") + b"\n")
     return [cache[task] for task in tasks]  # the tasks are in (m, a) order
 

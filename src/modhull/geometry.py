@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .hyperbola import Point
 from .ntheory import ext_gcd
@@ -61,9 +61,8 @@ class ConvexPolygon:
         if v[0] != min(v):
             raise ValueError("vertex list must start at the lexicographic minimum")
         if len(v) >= 3:
-            r = len(v)
-            for i in range(r):
-                if _cross(v[i], v[(i + 1) % r], v[(i + 2) % r]) <= 0:
+            for (ox, oy), (ax, ay), (bx, by) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0:
                     raise ValueError("vertices must be strictly convex counterclockwise")
 
     @property
@@ -106,7 +105,22 @@ def _staircases(pts: list[Point]) -> list[Point]:
     return list(dict.fromkeys(p for p, k in zip(pts, keep) if k))
 
 
-def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
+def _chain(seq: Iterable[Point]) -> list[Point]:
+    """Andrew's monotone chain: of points sorted along the walk, the ones
+    where it turns strictly left, from the first point to the last."""
+    out: list[Point] = []
+    for p in seq:
+        px, py = p
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
+def convex_hull(points: Iterable[Point], *, mirror: int | None = None) -> ConvexPolygon:
     """Monotone-chain hull of a nonempty point set, extreme points only.
 
     The chain runs only on the four staircases of the sorted points (see
@@ -122,31 +136,86 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     the first copy of v it meets, since every element before that copy in
     the scan's order is a point other than v.  The subset therefore has
     the same hull, and the chain returns it in the same canonical form.
+
+    mirror=m is a precondition of the caller, not an option: points is a
+    sequence sorted with one point per x and closed under
+    (x, y) -> (m - x, m - y).  The same polygon then comes from one lower
+    chain (see `_symmetric_hull`), and the input is neither sorted again
+    nor checked beyond its first and last points.
     """
+    if mirror is not None:
+        return _symmetric_hull(points, mirror)
     pts = sorted(points)
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     pts = _staircases(pts)
     if len(pts) == 1:
         return ConvexPolygon((pts[0],))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            px, py = p
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
+    lower = _chain(pts)
+    upper = _chain(reversed(pts))
     if len(lower) == 2 and len(upper) == 2:
         return ConvexPolygon((pts[0], pts[-1]))  # all collinear
     return ConvexPolygon(tuple(lower[:-1] + upper[:-1]))
+
+
+def _symmetric_hull(pts: Sequence[Point], m: int) -> ConvexPolygon:
+    """The hull of a point set P given as a sequence sorted with one point
+    per x and closed under s(x, y) = (m - x, m - y), from its lower chain.
+
+    s is the half turn about (m/2, m/2).  It keeps orientation and maps P,
+    so also its hull, onto itself, and it reverses the order of x: it
+    swaps the leftmost point p0 = pts[0] and the rightmost p1 = pts[-1],
+    and carries the lower chain, the hull's boundary from p0 to p1
+    counterclockwise, onto the upper chain from p1 back to p0 (Preparata
+    and Shamos, Computational Geometry, 1985, section 3.3).  So the
+    canonical vertex list is the lower chain without p1, which starts at
+    the lexicographic minimum p0, followed by the images of those vertices.
+
+    The lower chain runs on the lower staircase: the points that set a
+    new strict minimum of y in a scan from the left or from the right.
+    The scans start at p0 and p1.  Any other vertex v of the lower chain is
+    the unique maximiser over P of some linear functional w with w.y < 0.
+    If w.x <= 0, a point q left of v (q.x < v.x, as x is never repeated)
+    with q.y <= v.y would give w.q >= w.v, so every point before v is
+    higher and the left scan keeps v; if w.x >= 0 the right scan keeps it
+    likewise.  The staircase lies in P and holds both ends and every
+    vertex of P's lower chain, so its lower chain is P's.  The left scan
+    ends at the leftmost point of least y and keeps none right of it, the
+    right scan ends at the rightmost one and keeps none left of it, so the
+    two lists joined are sorted and repeat a point only when those ends
+    are the same point.
+
+    One point is its own hull.  A lower chain of two points, p0 and p1,
+    leaves every point on or above the chord p0 p1; its image leaves every
+    point on or below it, so P is collinear and its hull is that segment.
+
+    Only the first and last points are checked to be mirrors: an O(1)
+    refusal of a set that is not mirrored about this m.
+    """
+    if not pts:
+        raise ValueError("convex_hull needs at least one point")
+    (x0, y0), (x1, y1) = pts[0], pts[-1]
+    if x0 + x1 != m or y0 + y1 != m:
+        raise ValueError(f"first and last points {pts[0]} and {pts[-1]} are not mirrors about m = {m}")
+    left, lo = [pts[0]], y0
+    for p in pts:
+        if p[1] < lo:
+            lo = p[1]
+            left.append(p)
+    right, lo = [pts[-1]], y1
+    for p in reversed(pts):
+        if p[1] < lo:
+            lo = p[1]
+            right.append(p)
+    if left[-1] == right[-1]:
+        right.pop()
+    lower = _chain(left + right[::-1])
+    if len(lower) == 1:
+        return ConvexPolygon((lower[0],))
+    if len(lower) == 2:
+        return ConvexPolygon((pts[0], pts[-1]))  # all collinear
+    half = lower[:-1]
+    return ConvexPolygon(tuple(half + [(m - x, m - y) for x, y in half]))
 
 
 def twice_area(poly: ConvexPolygon) -> int:

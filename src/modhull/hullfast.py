@@ -144,7 +144,11 @@ def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
 
 def candidate_points(spec: HyperbolaSpec) -> PointSet:
     """The points fast_hull hulls, sorted: every point of H_a(m) below
-    ENUMERATE_BELOW, else the certified corner candidates."""
+    ENUMERATE_BELOW, else the certified corner candidates.  Either set has
+    one point per x, as H_a(m) has one per unit x, and is closed under
+    (x, y) -> (m - x, m - y), which keeps x*y mod m: the enumeration holds
+    every point, and _corner_points yields each point with its mirror.  So
+    it may be hulled with convex_hull(..., mirror=m)."""
     if spec.m < ENUMERATE_BELOW:
         return enumerate_points(spec)
     return tuple(sorted(_certified_hull(spec)[1]))
@@ -153,7 +157,7 @@ def candidate_points(spec: HyperbolaSpec) -> PointSet:
 def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:
     """The exact hull of H_a(m)."""
     if spec.m < ENUMERATE_BELOW:
-        return convex_hull(enumerate_points(spec))
+        return convex_hull(enumerate_points(spec), mirror=spec.m)  # see candidate_points
     return _certified_hull(spec)[0]
 
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modhull.geometry import (
     ConvexPolygon,
@@ -178,11 +178,79 @@ def test_hull_matches_reference_chain_on_grid_subsets():
 
 
 def test_hull_matches_reference_chain_on_every_unit_below_200():
+    # the symmetric path too: H_a(m) is sorted, has one point per x and is
+    # closed under (x, y) -> (m - x, m - y)
     for m in range(2, 200):
         for a in range(1, m):
             if math.gcd(a, m) == 1:
                 pts = enumerate_points(HyperbolaSpec(m, a))
-                assert convex_hull(pts).vertices == reference_hull(pts), (m, a)
+                hull = convex_hull(pts)
+                assert hull.vertices == reference_hull(pts), (m, a)
+                assert convex_hull(pts, mirror=m) == hull, (m, a)
+
+
+def _mirror_half(m, half, centre):
+    """(m, points): the points (x, y) of half with x = (m - 1)//2 - k for
+    each key k, so x < m/2, each with its mirror (m - x, m - y), plus the
+    centre (m/2, m/2) when asked and m is even; sorted, one point per x."""
+    pts = {p for k, y in half.items() for p in (((m - 1) // 2 - k, y), (m - (m - 1) // 2 + k, m - y))}
+    if centre and m % 2 == 0:
+        pts.add((m // 2, m // 2))
+    return m, sorted(pts)
+
+
+def _mirror_line(x0, dx, dy, k, ts):
+    """(m, points): the points (x0 + t*dx, y0 + t*dy) for t in ts, read
+    mod k + 1, and for k - t, which is the mirror of t when m = 2*x0 + k*dx
+    = 2*y0 + k*dy; dy is moved by one where that leaves y0 no integer."""
+    dy += k * (dx - dy) % 2
+    m = 2 * x0 + k * dx
+    y0 = (m - k * dy) // 2
+    pts = {(x0 + s * dx, y0 + s * dy) for t in ts for s in (t % (k + 1), k - t % (k + 1))}
+    return m, sorted(pts)
+
+
+mirrored_inputs = st.one_of(
+    st.builds(
+        _mirror_half,
+        st.integers(0, 40),
+        st.dictionaries(st.integers(0, 15), st.integers(-20, 60), max_size=12),
+        st.booleans(),
+    ).filter(lambda case: case[1]),
+    st.builds(  # collinear, down to one point (k = 0) or one mirror pair
+        _mirror_line,
+        st.integers(-5, 5),
+        st.integers(1, 3),
+        st.integers(-3, 3),
+        st.integers(0, 8),
+        st.lists(st.integers(0, 8), min_size=1, max_size=9),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(mirrored_inputs)
+@example((2, [(1, 1)]))
+@example((4, [(1, 3), (3, 1)]))
+@example((6, [(1, 1), (3, 3), (5, 5)]))
+@example((4, [(0, 0), (1, 4), (3, 0), (4, 4)]))
+def test_symmetric_hull_matches_reference_chain(case):
+    m, pts = case
+    hull = convex_hull(pts, mirror=m)
+    assert hull == convex_hull(pts)
+    assert hull.vertices == reference_hull(pts)
+
+
+def test_symmetric_hull_refuses_unmirrored_ends():
+    # only the first and last points are checked, in O(1)
+    with pytest.raises(ValueError, match="not mirrors"):
+        convex_hull([(1, 1), (2, 5), (3, 2)], mirror=4)
+    with pytest.raises(ValueError, match="not mirrors"):
+        convex_hull(enumerate_points(HyperbolaSpec(7, 3)), mirror=8)
+    with pytest.raises(ValueError, match="not mirrors"):
+        convex_hull([(1, 1), (3, 3)], mirror=3)
+    with pytest.raises(ValueError, match="at least one point"):
+        convex_hull([], mirror=4)
 
 
 def test_twice_area_examples():

@@ -17,6 +17,7 @@ from modhull.hullfast import (
     verify_against_naive,
 )
 from modhull.hyperbola import HyperbolaSpec, Point, enumerate_points
+from test_geometry import reference_hull
 
 
 def corner_product(p, m):
@@ -166,7 +167,13 @@ def _mirror_pairs():
     [ENUMERATE_BELOW, 2^31]."""
     for m in range(2, 200):
         yield from ((m, a) for a in range(1, m) if math.gcd(a, m) == 1)
-    rng = random.Random(14)
+    yield from _seeded_pairs(14)
+
+
+def _seeded_pairs(seed):
+    """200 pairs with m log-uniform in [ENUMERATE_BELOW, 2^31] and a a
+    seeded unit of m."""
+    rng = random.Random(seed)
     for _ in range(200):
         m = int(math.exp(rng.uniform(math.log(ENUMERATE_BELOW), math.log(2**31))))
         a = rng.randrange(1, m)
@@ -183,6 +190,32 @@ def test_mirror_residues_share_hull_and_candidate_count():
         flip = UnimodularMap(1, 0, 0, -1, 0, m)
         assert transform_polygon(fast_hull(spec), flip) == fast_hull(mirror), (m, a)
         assert len(candidate_points(spec)) == len(candidate_points(mirror)), (m, a)
+
+
+def test_symmetric_hull_of_candidates_matches_the_general_chain():
+    # candidate_points is sorted, has one point per x and is closed under
+    # (x, y) -> (m - x, m - y) on both sides of ENUMERATE_BELOW, so the
+    # symmetric path hulls it as the general and the reference chain do
+    pairs = [(m, 1) for m in range(ENUMERATE_BELOW - 10, ENUMERATE_BELOW + 11)]
+    for m, a in pairs + list(_seeded_pairs(15)):
+        cands = candidate_points(HyperbolaSpec(m, a))
+        hull = convex_hull(cands, mirror=m)
+        assert hull == convex_hull(cands), (m, a)
+        assert hull.vertices == reference_hull(cands), (m, a)
+
+
+def test_fast_hull_hulls_enumerations_by_symmetry(monkeypatch):
+    # below ENUMERATE_BELOW fast_hull takes the symmetric path, as the
+    # sweep does; the certified search hulls with the general chain
+    calls = []
+    real = hullfast.convex_hull
+    monkeypatch.setattr(hullfast, "convex_hull", lambda pts, **kw: calls.append(kw) or real(pts, **kw))
+    for m, a in [(2, 1), (7, 3), (ENUMERATE_BELOW - 1, 2), (ENUMERATE_BELOW + 1, 2)]:
+        calls.clear()
+        spec = HyperbolaSpec(m, a)
+        assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
+        expected = {"mirror": m} if m < ENUMERATE_BELOW else {}
+        assert calls and all(kw == expected for kw in calls), (m, a, calls)
 
 
 def test_fast_hull_methods_dispatch():
