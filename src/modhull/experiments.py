@@ -4,9 +4,10 @@ append-only cache that keeps every record of interrupted and concurrent sweeps.
 
 One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
 `modhull verify`, and holds the one check of a modulus range.  A record is a
-SweepRecord tuple: its values in column order fill the CSV row, and with its
-field names they make the cache line.  run_sweep uses a cache only when it is
-given a cache file.
+SweepRecord tuple: its values in column order fill the CSV row, and one
+template built from its fields at import renders its cache line, byte for byte
+the sorted-key json.dumps of its key and fields.  run_sweep uses a cache only
+when it is given a cache file.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -24,6 +25,8 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, get_type_hints
 
@@ -185,11 +188,40 @@ class SweepRecord(NamedTuple):
     def csv_row(self) -> str:
         return _ROW_FORMAT % self
 
+    def cache_line(self) -> str:
+        """json.dumps({"key": [m, a, __version__], **self._asdict()},
+        sort_keys=True), byte for byte.  A non-finite float, which json
+        would write as NaN or Infinity, is refused."""
+        if not all(map(math.isfinite, _FLOAT_VALUES(self))):
+            raise ValueError(f"record ({self.m}, {self.a}) holds a non-finite float; its cache line is not written")
+        return _LINE_FORMAT % _LINE_VALUES((*self, _JSON_BOOLS[self.squarefree], encode_basestring_ascii(self.method)))
+
 
 CSV_COLUMNS = SweepRecord._fields
 _FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
 # booleans print as 0/1 and reals to six significant digits
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
+
+
+def _line_template() -> tuple[str, itemgetter]:
+    """The cache line's format and the getter of its values.  The format
+    lists the fields and "key": [m, a, version] in sorted key order, with
+    json.dumps' separators.  Ints print by %d and floats by %r, the
+    float.__repr__ json writes them with.  cache_line appends the JSON text
+    of the one bool and of the one str to the record, and the getter picks
+    every value, those two included, in the format's order."""
+    n = len(CSV_COLUMNS)
+    items = [("key", f"[%d, %d, {json.dumps(__version__).replace('%', '%%')}]", (CSV_COLUMNS.index("m"), CSV_COLUMNS.index("a")))]
+    for i, (name, t) in enumerate(zip(CSV_COLUMNS, _FIELD_TYPES)):
+        items.append((name, {int: "%d", float: "%r", bool: "%s", str: "%s"}[t], ({bool: n, str: n + 1}.get(t, i),)))
+    items.sort()
+    line = "{" + ", ".join(f"{json.dumps(name)}: {spec}" for name, spec, _ in items) + "}"
+    return line, itemgetter(*(i for _, _, at in items for i in at))
+
+
+_LINE_FORMAT, _LINE_VALUES = _line_template()
+_FLOAT_VALUES = itemgetter(*(i for i, t in enumerate(_FIELD_TYPES) if t is float))
+_JSON_BOOLS = ("false", "true")
 
 
 @lru_cache(maxsize=1)
@@ -213,27 +245,11 @@ def compute_record(m: int, a: int) -> SweepRecord:
     exponent = math.log(v) / math.log(m) if v > 1 else 0.0
     norm512 = v / (t * m ** (5.0 / 12.0))
     return SweepRecord(
-        m=m,
-        a=spec.a,
-        v=v,
-        phi=phi,
-        tau_m_minus_1=tau_m_minus_1,
-        kernel=kernel,
-        t=t,
-        squarefree=kernel == m,
-        exponent=exponent,
-        norm512=norm512,
-        method=hull_method(m),
-        candidate_count=len(cands),
-        elapsed_ns=elapsed,
+        m, spec.a, v, phi, tau_m_minus_1, kernel, t, kernel == m, exponent, norm512, hull_method(m), len(cands), elapsed
     )
 
 
 # --- cache: one JSON record per line, appended as each record is computed ---
-
-
-# json.dumps(obj, sort_keys=True) without building an encoder per line
-_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def default_cache_file() -> Path:
@@ -337,11 +353,10 @@ def run_sweep(
                 computed = map(compute_record, *columns)
             out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
             for m, a in missing:  # in (m, a) order: a mirror follows its partner
-                rec = cache[m, m - a]._replace(a=a) if (m, a) in mirrored else next(computed)
+                rec = SweepRecord(m, a, *cache[m, m - a][2:]) if (m, a) in mirrored else next(computed)
                 cache[m, a] = rec
                 if out is not None:
-                    line = _encode({"key": [rec.m, rec.a, __version__], **rec._asdict()})
-                    out.write(line.encode("ascii") + b"\n")
+                    out.write(rec.cache_line().encode("ascii") + b"\n")
     return [cache[task] for task in tasks]  # the tasks are in (m, a) order
 
 

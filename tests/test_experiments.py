@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modhull
 from modhull import experiments, ntheory
@@ -170,6 +171,13 @@ CACHE_LINE_7_3 = (
     f'"key": [7, 3, "{__version__}"], "m": 7, "method": "naive", "norm512": 2.667024879461478, "phi": 6, '
     '"squarefree": true, "t": 1, "tau_m_minus_1": 4, "v": 6}'
 )
+# the same for (1000, 1): a certified ("fast") hull of a modulus that is not
+# squarefree
+CACHE_LINE_1000_1 = (
+    '{"a": 1, "candidate_count": 26, "elapsed_ns": 1500, "exponent": 0.38204267855941265, "kernel": 10, '
+    f'"key": [1000, 1, "{__version__}"], "m": 1000, "method": "fast", "norm512": 0.007872778552664885, '
+    '"phi": 400, "squarefree": false, "t": 100, "tau_m_minus_1": 8, "v": 14}'
+)
 
 
 def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
@@ -177,13 +185,54 @@ def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "compute_record", lambda m, a: real(m, a)._replace(elapsed_ns=1500))
     cache = tmp_path / "cache.jsonl"
     records = run_sweep(7, 7, APolicy("all"), cache_file=cache)
+    records += run_sweep(1000, 1000, APolicy("one"), cache_file=cache)
     lines = cache.read_text(encoding="ascii").split("\n")
-    assert len(lines) == 7 and lines[2] == CACHE_LINE_7_3 and lines[-1] == ""
+    assert len(lines) == 8 and lines[2] == CACHE_LINE_7_3 and lines[6] == CACHE_LINE_1000_1 and lines[-1] == ""
     # a cache written in this format, by this version or an earlier build of
     # it, replays to the same record
     old = tmp_path / "old.jsonl"
-    old.write_text(CACHE_LINE_7_3 + "\n", encoding="ascii")
-    assert experiments._load_cache(old, 7, 7) == {(7, 3): records[2]}
+    old.write_text(CACHE_LINE_7_3 + "\n" + CACHE_LINE_1000_1 + "\n", encoding="ascii")
+    assert experiments._load_cache(old, 7, 1000) == {(7, 3): records[2], (1000, 1): records[6]}
+
+
+_FLOAT_FIELDS = [name for name, t in zip(CSV_COLUMNS, experiments._FIELD_TYPES) if t is float]
+
+
+def sweep_records(method=st.text() | st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "na\u00efve", "\u2028", "\U0001f600"])):
+    """SweepRecords whose values have exactly the declared types: ints up to
+    +-2^63, finite floats of every magnitude and text for method."""
+    values = {
+        int: st.integers(-(2**63), 2**63),
+        float: st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, sys.float_info.max]),
+        bool: st.booleans(),
+        str: method,
+    }
+    return st.builds(SweepRecord, *(values[t] for t in experiments._FIELD_TYPES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_records())
+def test_cache_line_is_the_sorted_key_json_dumps(rec):
+    assert rec.cache_line() == json.dumps({"key": [rec.m, rec.a, __version__], **rec._asdict()}, sort_keys=True)
+
+
+@settings(deadline=None)
+@given(sweep_records(), st.sampled_from(_FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_cache_line_refuses_non_finite_floats(rec, field, x):
+    # json.dumps would write NaN or Infinity; %r would write nan or inf, so
+    # the line is refused rather than written differently
+    with pytest.raises(ValueError, match=re.escape(f"record ({rec.m}, {rec.a}) holds a non-finite float; its cache line is not written")):
+        rec._replace(**{field: x}).cache_line()
+
+
+@settings(deadline=None)
+@given(records=st.lists(sweep_records(st.text(st.characters(max_codepoint=127))), min_size=1, max_size=6, unique_by=lambda r: r[:2]))
+def test_cache_lines_load_back_to_their_records(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "round-trip.jsonl"
+    path.write_bytes(b"".join(rec.cache_line().encode("ascii") + b"\n" for rec in records))
+    loaded = experiments._load_cache(path, min(r.m for r in records), max(r.m for r in records))
+    # repr tells -0.0 from 0.0 and True from 1, which == does not
+    assert repr(loaded) == repr({(rec.m, rec.a): rec for rec in records})
 
 
 def test_pyproject_version_is_the_cache_version():
