@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
 from .experiments import (
@@ -90,7 +89,7 @@ def _cmd_count(args) -> int:
     spec = HyperbolaSpec(args.m, args.a)
     exact = count_in_box(spec, args.U, args.V)
     main_term = predicted_count(spec, args.U, args.V)
-    diff = Fraction(exact) - main_term
+    diff = exact - main_term
     print(f"count: {exact}")
     print(f"main term: {main_term} (~{float(main_term):.6g})")
     print(f"difference: {diff} (~{float(diff):.6g})")

@@ -15,8 +15,7 @@ the rest of the package checks sparse-solution claims against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .hyperbola import ENUMERATION_CEILING, Point
 
@@ -148,14 +147,7 @@ def _echelon(mat: list[list[int]], s: int) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
-class ConicForm:
-    """Primitive integer quadratic form A X^2 + B XY + C Y^2 + D X + E Y + F.
-
-    Coefficients are divided by their gcd at construction; the all-zero
-    form is rejected.
-    """
-
+class _ConicForm(NamedTuple):
     A: int
     B: int
     C: int
@@ -163,14 +155,28 @@ class ConicForm:
     E: int
     F: int
 
-    def __post_init__(self):
-        coeffs = self.coeffs
+
+class ConicForm(_ConicForm):
+    """Primitive integer quadratic form A X^2 + B XY + C Y^2 + D X + E Y + F.
+
+    Coefficients are divided by their gcd at construction; the all-zero
+    form is rejected.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, A: int, B: int, C: int, D: int, E: int, F: int):
+        coeffs = (A, B, C, D, E, F)
         if not any(coeffs):
             raise ValueError("the zero form is not a conic")
         g = math.gcd(*coeffs)
         if g > 1:
-            for name, v in zip("ABCDEF", coeffs):
-                object.__setattr__(self, name, v // g)
+            coeffs = tuple(v // g for v in coeffs)
+        return tuple.__new__(cls, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     @property
     def coeffs(self) -> tuple[int, int, int, int, int, int]:
@@ -186,8 +192,7 @@ class ConicForm:
         )
 
 
-@dataclass(frozen=True)
-class ConicClass:
+class ConicClass(NamedTuple):
     discriminant: int
     degenerate: bool
     parabola_like: bool

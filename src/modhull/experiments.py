@@ -23,7 +23,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -91,20 +90,28 @@ class SplitMix64:
         return self.next() % n
 
 
-@dataclass(frozen=True)
-class APolicy:
+class _APolicy(NamedTuple):
+    kind: str  # "one" | "all" | "sample"
+    k: int
+    seed: int
+
+
+class APolicy(_APolicy):
     """Which residues a to visit per modulus: a=1 only, all units, or a
     seeded sample of k distinct units."""
 
-    kind: str  # "one" | "all" | "sample"
-    k: int = 0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("one", "all", "sample"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "sample" and self.k < 1:
+    def __new__(cls, kind: str, k: int = 0, seed: int = 0):
+        if kind not in ("one", "all", "sample"):
+            raise ValueError(f"unknown policy kind {kind!r}")
+        if kind == "sample" and k < 1:
             raise ValueError("sample policy needs k >= 1")
+        return tuple.__new__(cls, (kind, k, seed))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "APolicy":
@@ -262,9 +269,9 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
     another version or modulus is passed over before a record is built.  Of
     two lines with one key the later wins.  A damaged line is skipped, so its
     record is recomputed: one that is torn, not ASCII or not a JSON record,
-    one with a field of the wrong type or a non-ASCII method (csv_row and
-    write_csv rely on both), and one whose key names another (m, a) than its
-    fields."""
+    one with a field of the wrong type, a non-finite float (cache_line
+    refuses to write one) or a non-ASCII method (csv_row and write_csv rely
+    on it), and one whose key names another (m, a) than its fields."""
     out: dict[tuple[int, int], SweepRecord] = {}
     if not Path(path).exists():
         return out
@@ -278,6 +285,7 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
                 rec = SweepRecord(**obj)
                 if (
                     tuple(map(type, rec)) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
+                    and all(map(math.isfinite, _FLOAT_VALUES(rec)))  # json reads NaN and Infinity
                     and rec.method.isascii()
                     and (m, a) == (rec.m, rec.a)
                 ):

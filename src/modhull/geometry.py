@@ -11,8 +11,7 @@ collinear) are first-class values with 1 or 2 vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hyperbola import Point
 from .ntheory import ext_gcd
@@ -44,16 +43,19 @@ def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
+class _ConvexPolygon(NamedTuple):
+    vertices: tuple[Point, ...]
+
+
+class ConvexPolygon(_ConvexPolygon):
     """Strictly convex vertex list, counterclockwise, starting at the
     lexicographically smallest vertex.  1 or 2 vertices mark a degenerate
     hull (point / segment)."""
 
-    vertices: tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = self.vertices
+    def __new__(cls, vertices: tuple[Point, ...]):
+        v = vertices
         if not v:
             raise ValueError("polygon needs at least one vertex")
         if len(set(v)) != len(v):
@@ -64,6 +66,11 @@ class ConvexPolygon:
             for (ox, oy), (ax, ay), (bx, by) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
                 if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0:
                     raise ValueError("vertices must be strictly convex counterclockwise")
+        return tuple.__new__(cls, (v,))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     @property
     def vertex_count(self) -> int:
@@ -244,24 +251,33 @@ def contains_point(poly: ConvexPolygon, p: Point) -> bool:
     return all(_cross(v[i], v[(i + 1) % len(v)], p) >= 0 for i in range(len(v)))
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class _UnimodularMap(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+    tx: int
+    ty: int
+
+
+class UnimodularMap(_UnimodularMap):
     """Affine map (x, y) -> (a x + b y + tx, c x + d y + ty) with det(a d - b c) = +-1.
 
     Such maps permute the integer lattice, so they preserve lattice hulls,
     vertex counts, and doubled areas.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    tx: int = 0
-    ty: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"determinant must be +-1, got {self.det}")
+    def __new__(cls, a: int, b: int, c: int, d: int, tx: int = 0, ty: int = 0):
+        det = a * d - b * c
+        if det not in (1, -1):
+            raise ValueError(f"determinant must be +-1, got {det}")
+        return tuple.__new__(cls, (a, b, c, d, tx, ty))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     @property
     def det(self) -> int:

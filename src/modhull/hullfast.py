@@ -50,7 +50,7 @@ Small moduli skip the search and hull every point.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import ConvexPolygon, convex_hull
 from .hyperbola import HyperbolaSpec, Point, PointSet, enumerate_points
@@ -161,8 +161,7 @@ def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:
     return _certified_hull(spec)[0]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Side-by-side result of the certified and brute-force hulls."""
 
     m: int

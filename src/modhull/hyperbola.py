@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ntheory import batch_mod_inv, factorize
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MODULUS_CEILING",
@@ -55,20 +57,27 @@ ENUMERATION_CEILING = 10**7
 _COUNT_CHUNK = 2**15
 
 
-@dataclass(frozen=True)
-class HyperbolaSpec:
-    """Modulus m and residue a, with a reduced into [1, m-1] and gcd(a, m) = 1."""
-
+class _HyperbolaSpec(NamedTuple):
     m: int
     a: int
 
-    def __post_init__(self):
-        if not 2 <= self.m <= MODULUS_CEILING:
-            raise ValueError(f"modulus must be in [2, 2**31], got {self.m}")
-        a = self.a % self.m
-        if math.gcd(a, self.m) != 1:
-            raise ValueError(f"residue {self.a} is not coprime to {self.m}")
-        object.__setattr__(self, "a", a)
+
+class HyperbolaSpec(_HyperbolaSpec):
+    """Modulus m and residue a, with a reduced into [1, m-1] and gcd(a, m) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, a: int):
+        if not 2 <= m <= MODULUS_CEILING:
+            raise ValueError(f"modulus must be in [2, 2**31], got {m}")
+        r = a % m
+        if math.gcd(r, m) != 1:
+            raise ValueError(f"residue {a} is not coprime to {m}")
+        return tuple.__new__(cls, (m, r))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
 
 def _unit_inverses(m: int, upper: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -123,6 +132,8 @@ def predicted_count(spec: HyperbolaSpec, U: int, V: int) -> Fraction:
     m = spec.m
     U = max(0, min(U, m - 1))
     V = max(0, min(V, m - 1))
+    from fractions import Fraction  # here, not at import: it loads decimal, and only `modhull count` asks
+
     return Fraction(U * V * factorize(m).phi, m * m)
 
 

@@ -10,7 +10,7 @@ inputs are rejected rather than silently mis-factored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "FACTOR_CEILING",
@@ -140,23 +140,31 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable in practice
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Factorization(NamedTuple):
+    factors: tuple[tuple[int, int], ...]
+
+
+class Factorization(_Factorization):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     The empty tuple represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
-                raise ValueError(f"malformed factorization: {self.factors}")
+                raise ValueError(f"malformed factorization: {factors}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
+        return tuple.__new__(cls, (factors,))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -71,6 +72,18 @@ def test_count(capsys):
     assert "count: 3" in out
     assert "main term: 90/49" in out
     assert "difference: 57/49" in out
+
+
+def test_count_stdout_is_pinned(capsys):
+    # the exact stdout of the Fraction-based count before predicted_count
+    # imported fractions on its own call: same count, main term and difference
+    code, out, err = run_cli(capsys, "count", "--m", "100003", "--a", "17", "--U", "5000", "--V", "20000")
+    assert (code, err) == (0, "")
+    assert out == (
+        "count: 969\n"
+        "main term: 10000200000000/10000600009 (~999.96)\n"
+        "difference: -309618591279/10000600009 (~-30.96)\n"
+    )
 
 
 def test_census(capsys):
@@ -242,6 +255,28 @@ def test_sweep_byte_identical_reruns(tmp_path, capsys, monkeypatch):
         )
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_sweep_recomputes_a_cache_line_with_a_non_finite_float(tmp_path, capsys, monkeypatch, value):
+    # json reads NaN and Infinity as floats, but no record holds one: the
+    # (7, 3) line is damaged, so (7, 3) is hulled again and its mirror (7, 4),
+    # whose line is gone, is built from the new record, not from the NaN
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["sweep", "--m-min", "7", "--m-max", "7", "--a-policy", "all", "--out", str(tmp_path / "r.csv")]
+    code, cold, _ = run_cli(capsys, *argv)
+    cold_csv = (tmp_path / "r.csv").read_text()
+    cache = tmp_path / "cache" / "sweep-cache.jsonl"
+    lines = cache.read_text().splitlines(keepends=True)
+    assert code == 0 and '"key": [7, 3, ' in lines[2] and '"key": [7, 4, ' in lines[3]
+    cache.write_text("".join(lines[:2] + [re.sub(r'"exponent": [^,]+', f'"exponent": {value}', lines[2])] + lines[4:]))
+    computed = []
+    real = experiments.compute_record
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append((m, a)) or real(m, a))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, cold, "") and "nan" not in out and computed == [(7, 3)]
+    warm_csv = (tmp_path / "r.csv").read_text()
+    assert re.sub(r",\d+$", "", warm_csv, flags=re.M) == re.sub(r",\d+$", "", cold_csv, flags=re.M)  # elapsed_ns masked
 
 
 def test_sweep_sample_of_more_than_every_unit_runs(tmp_path, capsys, monkeypatch):
