@@ -89,27 +89,40 @@ class ConvexPolygon(_ConvexPolygon):
         return len(self.vertices) < 3
 
 
-def _staircases(pts: list[Point]) -> list[Point]:
-    """The points of a sorted, nonempty list that set a new strict minimum
-    or maximum of y when it is scanned from the left or from the right, in
-    sorted order and each once (Kung, Luccio and Preparata's maxima, JACM
-    22(4), 1975, for the four quadrants).  A repeated point can be kept
-    twice, its first copy by one scan and its last by the other; the copies
-    are adjacent, and dict.fromkeys keeps one."""
-    ys = [y for _, y in pts]
-    keep = bytearray(len(ys))
-    for order in (range(len(ys)), range(len(ys) - 1, -1, -1)):
-        lo = hi = ys[order[0]]
-        keep[order[0]] = 1
-        for i in order:
-            y = ys[i]
-            if y < lo:
-                lo = y
-                keep[i] = 1
-            elif y > hi:
-                hi = y
-                keep[i] = 1
-    return list(dict.fromkeys(p for p, k in zip(pts, keep) if k))
+def _lower_staircase(pts: Sequence[Point]) -> list[Point]:
+    """The points of a sorted, nonempty sequence that set a new strict
+    minimum of y in a scan from the left or from the right, each scan
+    starting at its first point, joined in sorted order (see convex_hull)."""
+    left, lo = [pts[0]], pts[0][1]
+    for p in pts:
+        if p[1] < lo:
+            lo = p[1]
+            left.append(p)
+    right, lo = [pts[-1]], pts[-1][1]
+    for p in reversed(pts):
+        if p[1] < lo:
+            lo = p[1]
+            right.append(p)
+    if left[-1] == right[-1]:
+        right.pop()
+    return left + right[::-1]
+
+
+def _upper_staircase(pts: Sequence[Point]) -> list[Point]:
+    """_lower_staircase with maxima of y for minima."""
+    left, hi = [pts[0]], pts[0][1]
+    for p in pts:
+        if p[1] > hi:
+            hi = p[1]
+            left.append(p)
+    right, hi = [pts[-1]], pts[-1][1]
+    for p in reversed(pts):
+        if p[1] > hi:
+            hi = p[1]
+            right.append(p)
+    if left[-1] == right[-1]:
+        right.pop()
+    return left + right[::-1]
 
 
 def _chain(seq: Iterable[Point]) -> list[Point]:
@@ -128,101 +141,62 @@ def _chain(seq: Iterable[Point]) -> list[Point]:
 
 
 def convex_hull(points: Iterable[Point], *, mirror: int | None = None) -> ConvexPolygon:
-    """Monotone-chain hull of a nonempty point set, extreme points only.
+    """Monotone-chain hull of a nonempty point set, extreme points only
+    (Andrew, Inf. Process. Lett. 9(5), 1979).
 
-    The chain runs only on the four staircases of the sorted points (see
-    `_staircases`), which hold every extreme point once.  The left-to-right
-    scan drops a copy of p as a new minimum only when an earlier element q
-    has q.y <= p.y, and earlier means q.x <= p.x: q lies in p's closed
-    lower-left quadrant.  Likewise its maximum test drops it only for a q
-    in the closed upper-left quadrant, and the right-to-left scan for a q
-    in the closed lower-right or upper-right one.  An extreme point v is
-    the unique maximiser of some linear functional w != 0, and w points
-    into one closed quadrant; any q != v in v's quadrant of that direction
-    would give w.q >= w.v, so there is none.  That quadrant's scan keeps
-    the first copy of v it meets, since every element before that copy in
-    the scan's order is a point other than v.  The subset therefore has
-    the same hull, and the chain returns it in the same canonical form.
+    The points are sorted, repeats included, from the leftmost-lowest p0 to
+    the rightmost-highest p1.  The lower chain, the hull's boundary from p0
+    to p1 counterclockwise, is chained from the lower staircase only: the
+    points that set a new strict minimum of y in a scan from the left or
+    from the right (Kung, Luccio and Preparata's maxima, JACM 22(4), 1975).
+    The scans start at p0 and p1.  Any other vertex v of the lower chain is
+    the unique maximiser of some linear functional w with w.y < 0, and any
+    q != v with q.x <= v.x and q.y <= v.y would give w.q >= w.v if
+    w.x <= 0.  So if w.x <= 0, every point before v in sorted order other
+    than v itself lies strictly higher (this holds with repeated x too: a
+    point directly below v would beat v for any w with w.y < 0), and the
+    left scan keeps the first copy of v; if w.x >= 0 the right scan keeps
+    the last copy likewise.  The staircase lies in the set and holds both
+    ends and every vertex of the lower chain, so its lower chain is the
+    set's.  The left scan ends at the first point of least y and keeps none
+    after it, the right scan at the last one and keeps none before it, and
+    the copies of a point are adjacent, so the two lists joined are sorted
+    and repeat a point only when the two ends are copies of it.  The half
+    turn (x, y) -> (-x, -y) reverses the sorted order and carries minima to
+    maxima, so the upper chain, from p1 back to p0, is chained likewise
+    from the upper staircase, the running maxima of y.
 
     mirror=m is a precondition of the caller, not an option: points is a
-    sequence sorted with one point per x and closed under
-    (x, y) -> (m - x, m - y).  The same polygon then comes from one lower
-    chain (see `_symmetric_hull`), and the input is neither sorted again
-    nor checked beyond its first and last points.
+    sorted sequence closed under s(x, y) = (m - x, m - y).  s is a half
+    turn too; it maps the set onto itself, swaps p0 and p1 and carries the
+    lower chain onto the upper one (Preparata and Shamos, Computational
+    Geometry, 1985, section 3.3), so the upper chain is the image of the
+    lower one.  The input is then neither sorted again nor checked beyond
+    its first and last points: an O(1) refusal of a set that is not
+    mirrored about this m.
+
+    A lower staircase of one point is a set of copies of one point.  The
+    vertex list is the lower chain without p1 followed by the upper chain
+    without p0, so a collinear set, whose chains are p0 p1 and p1 p0, gives
+    the segment (p0, p1).
     """
+    pts = sorted(points) if mirror is None else points
+    if not pts:
+        raise ValueError("convex_hull needs at least one point")
     if mirror is not None:
-        return _symmetric_hull(points, mirror)
-    pts = sorted(points)
-    if not pts:
-        raise ValueError("convex_hull needs at least one point")
-    pts = _staircases(pts)
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-    lower = _chain(pts)
-    upper = _chain(reversed(pts))
-    if len(lower) == 2 and len(upper) == 2:
-        return ConvexPolygon((pts[0], pts[-1]))  # all collinear
-    return ConvexPolygon(tuple(lower[:-1] + upper[:-1]))
-
-
-def _symmetric_hull(pts: Sequence[Point], m: int) -> ConvexPolygon:
-    """The hull of a point set P given as a sequence sorted with one point
-    per x and closed under s(x, y) = (m - x, m - y), from its lower chain.
-
-    s is the half turn about (m/2, m/2).  It keeps orientation and maps P,
-    so also its hull, onto itself, and it reverses the order of x: it
-    swaps the leftmost point p0 = pts[0] and the rightmost p1 = pts[-1],
-    and carries the lower chain, the hull's boundary from p0 to p1
-    counterclockwise, onto the upper chain from p1 back to p0 (Preparata
-    and Shamos, Computational Geometry, 1985, section 3.3).  So the
-    canonical vertex list is the lower chain without p1, which starts at
-    the lexicographic minimum p0, followed by the images of those vertices.
-
-    The lower chain runs on the lower staircase: the points that set a
-    new strict minimum of y in a scan from the left or from the right.
-    The scans start at p0 and p1.  Any other vertex v of the lower chain is
-    the unique maximiser over P of some linear functional w with w.y < 0.
-    If w.x <= 0, a point q left of v (q.x < v.x, as x is never repeated)
-    with q.y <= v.y would give w.q >= w.v, so every point before v is
-    higher and the left scan keeps v; if w.x >= 0 the right scan keeps it
-    likewise.  The staircase lies in P and holds both ends and every
-    vertex of P's lower chain, so its lower chain is P's.  The left scan
-    ends at the leftmost point of least y and keeps none right of it, the
-    right scan ends at the rightmost one and keeps none left of it, so the
-    two lists joined are sorted and repeat a point only when those ends
-    are the same point.
-
-    One point is its own hull.  A lower chain of two points, p0 and p1,
-    leaves every point on or above the chord p0 p1; its image leaves every
-    point on or below it, so P is collinear and its hull is that segment.
-
-    Only the first and last points are checked to be mirrors: an O(1)
-    refusal of a set that is not mirrored about this m.
-    """
-    if not pts:
-        raise ValueError("convex_hull needs at least one point")
-    (x0, y0), (x1, y1) = pts[0], pts[-1]
-    if x0 + x1 != m or y0 + y1 != m:
-        raise ValueError(f"first and last points {pts[0]} and {pts[-1]} are not mirrors about m = {m}")
-    left, lo = [pts[0]], y0
-    for p in pts:
-        if p[1] < lo:
-            lo = p[1]
-            left.append(p)
-    right, lo = [pts[-1]], y1
-    for p in reversed(pts):
-        if p[1] < lo:
-            lo = p[1]
-            right.append(p)
-    if left[-1] == right[-1]:
-        right.pop()
-    lower = _chain(left + right[::-1])
+        (x0, y0), (x1, y1) = pts[0], pts[-1]
+        if x0 + x1 != mirror or y0 + y1 != mirror:
+            raise ValueError(f"first and last points {pts[0]} and {pts[-1]} are not mirrors about m = {mirror}")
+    lower = _chain(_lower_staircase(pts))
     if len(lower) == 1:
-        return ConvexPolygon((lower[0],))
-    if len(lower) == 2:
-        return ConvexPolygon((pts[0], pts[-1]))  # all collinear
-    half = lower[:-1]
-    return ConvexPolygon(tuple(half + [(m - x, m - y) for x, y in half]))
+        return ConvexPolygon((pts[0],))
+    lower.pop()  # p1, where the upper chain starts
+    if mirror is None:
+        upper = _chain(reversed(_upper_staircase(pts)))
+        upper.pop()
+    else:
+        upper = [(mirror - x, mirror - y) for x, y in lower]
+    return ConvexPolygon(tuple(lower + upper))
 
 
 def twice_area(poly: ConvexPolygon) -> int:

@@ -65,11 +65,15 @@ __all__ = [
     "verify_against_naive",
 ]
 
-# Moduli below this are hulled from the full enumeration.  It sits at the
-# measured crossover for one hull: certified vs cold enumeration took
-# 1.38 vs 1.12 ms per hull for m in [750, 1000), 1.31 vs 1.32 ms for
-# [1000, 1250) and 1.59 vs 1.93 ms for [1250, 1500) (medians of 5 passes
-# over ~140 pairs each, CPython 3.11.7 on a 2-vCPU x86-64 host).
+# Moduli below this are hulled from the full enumeration.  The value is
+# fixed, not tuned: it decides the CSV `method` and `candidate_count`
+# columns, so moving it changes the sweep output.  It was set at the
+# crossover measured for one hull at commit 7d6b7db: certified vs cold
+# enumeration took 1.38 vs 1.12 ms per hull for m in [750, 1000), 1.31 vs
+# 1.32 ms for [1000, 1250) and 1.59 vs 1.93 ms for [1250, 1500) (medians
+# of 5 passes over ~140 pairs each, CPython 3.11.7 on a 2-vCPU x86-64
+# host).  Both paths have been made faster since, and the certified rounds
+# now hull on the half-turn path, so those timings are stale.
 ENUMERATE_BELOW = 1000
 
 
@@ -125,20 +129,23 @@ def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
     return True
 
 
-def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, set[Point]]:
-    """The hull of H_a(m) and the points it was hulled from: those with
-    f <= c for the first c = m * 2^k the certificate accepts.  Each round
-    adds the corner points of the products in (prev, c], and hulls again
-    only when it added one."""
+def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, PointSet]:
+    """The hull of H_a(m) and the points it was hulled from, sorted: those
+    with f <= c for the first c = m * 2^k the certificate accepts.  Each
+    round adds the corner points of the products in (prev, c], and hulls
+    again only when it added one, on the half-turn path (see
+    candidate_points)."""
     m, a = spec.m, spec.a
     pts: set[Point] = set()
-    hulled, prev, c = 0, 0, m
+    cands: PointSet = ()
+    prev, c = 0, m
     while True:
         pts.update(_corner_points(m, a, prev, c))
-        if len(pts) > hulled:
-            poly, hulled = convex_hull(pts), len(pts)
+        if len(pts) > len(cands):
+            cands = tuple(sorted(pts))
+            poly = convex_hull(cands, mirror=m)
         if _certifies(poly, m, c):
-            return poly, pts
+            return poly, cands
         prev, c = c, 2 * c
 
 
@@ -151,7 +158,7 @@ def candidate_points(spec: HyperbolaSpec) -> PointSet:
     it may be hulled with convex_hull(..., mirror=m)."""
     if spec.m < ENUMERATE_BELOW:
         return enumerate_points(spec)
-    return tuple(sorted(_certified_hull(spec)[1]))
+    return _certified_hull(spec)[1]
 
 
 def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:

@@ -130,7 +130,9 @@ def test_hull_extreme_points_only(pts):
 
 def reference_hull(pts):
     """Andrew's monotone chain over every point, with no prefilter: the
-    reference that convex_hull, with its staircase prefilter, must match."""
+    reference that convex_hull, which chains only the lower and upper
+    staircases (with mirror=m, the lower one and its half-turn image),
+    must match."""
     pts = sorted(set(pts))
     if len(pts) == 1:
         return (pts[0],)
@@ -234,6 +236,7 @@ mirrored_inputs = st.one_of(
 @example((4, [(1, 3), (3, 1)]))
 @example((6, [(1, 1), (3, 3), (5, 5)]))
 @example((4, [(0, 0), (1, 4), (3, 0), (4, 4)]))
+@example((4, [(0, 0), (0, 3), (2, 2), (2, 2), (4, 1), (4, 4)]))  # repeated x and a repeat
 def test_symmetric_hull_matches_reference_chain(case):
     m, pts = case
     hull = convex_hull(pts, mirror=m)

@@ -206,16 +206,18 @@ def test_symmetric_hull_of_candidates_matches_the_general_chain():
 
 def test_fast_hull_hulls_enumerations_by_symmetry(monkeypatch):
     # below ENUMERATE_BELOW fast_hull takes the symmetric path, as the
-    # sweep does; the certified search hulls with the general chain
+    # sweep does, and so does every round of the certified search
     calls = []
     real = hullfast.convex_hull
     monkeypatch.setattr(hullfast, "convex_hull", lambda pts, **kw: calls.append(kw) or real(pts, **kw))
-    for m, a in [(2, 1), (7, 3), (ENUMERATE_BELOW - 1, 2), (ENUMERATE_BELOW + 1, 2)]:
+    most = 0
+    for m, a in [(2, 1), (7, 3), (ENUMERATE_BELOW - 1, 2), (ENUMERATE_BELOW + 1, 2)] + SEARCH_CASES:
         calls.clear()
         spec = HyperbolaSpec(m, a)
         assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
-        expected = {"mirror": m} if m < ENUMERATE_BELOW else {}
-        assert calls and all(kw == expected for kw in calls), (m, a, calls)
+        assert calls and all(kw == {"mirror": m} for kw in calls), (m, a, calls)
+        most = max(most, len(calls))
+    assert most >= 4  # (99991, 12345) hulls in four rounds
 
 
 def test_fast_hull_methods_dispatch():
@@ -430,7 +432,7 @@ def test_no_point_set_is_hulled_twice(monkeypatch):
     # keeps the polygon it has
     hulled: list[frozenset] = []
     real = hullfast.convex_hull
-    monkeypatch.setattr(hullfast, "convex_hull", lambda pts: hulled.append(frozenset(pts)) or real(pts))
+    monkeypatch.setattr(hullfast, "convex_hull", lambda pts, **kw: hulled.append(frozenset(pts)) or real(pts, **kw))
     for m, a in SEARCH_CASES:
         spec = HyperbolaSpec(m, a)
         for run in (fast_hull, verify_against_naive):
