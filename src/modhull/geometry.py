@@ -48,24 +48,19 @@ class _ConvexPolygon(NamedTuple):
 
 
 class ConvexPolygon(_ConvexPolygon):
-    """Strictly convex vertex list, counterclockwise, starting at the
-    lexicographically smallest vertex.  1 or 2 vertices mark a degenerate
-    hull (point / segment)."""
+    """A vertex list that is valid exactly when it is the vertex list
+    convex_hull returns for these points: nonempty, strictly convex,
+    counterclockwise and starting at the lexicographically smallest vertex.
+    1 or 2 vertices mark a degenerate hull (point / segment).  Points are
+    stored as tuples.  convex_hull builds its own results without checking
+    them again."""
 
     __slots__ = ()
 
-    def __new__(cls, vertices: tuple[Point, ...]):
-        v = vertices
-        if not v:
-            raise ValueError("polygon needs at least one vertex")
-        if len(set(v)) != len(v):
-            raise ValueError("repeated vertex")
-        if v[0] != min(v):
-            raise ValueError("vertex list must start at the lexicographic minimum")
-        if len(v) >= 3:
-            for (ox, oy), (ax, ay), (bx, by) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
-                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) <= 0:
-                    raise ValueError("vertices must be strictly convex counterclockwise")
+    def __new__(cls, vertices: Sequence[Point]):
+        v = tuple(map(tuple, vertices))
+        if not v or convex_hull(v).vertices != v:
+            raise ValueError("vertices must be strictly convex counterclockwise from the lexicographic minimum")
         return tuple.__new__(cls, (v,))
 
     @classmethod
@@ -189,14 +184,14 @@ def convex_hull(points: Iterable[Point], *, mirror: int | None = None) -> Convex
             raise ValueError(f"first and last points {pts[0]} and {pts[-1]} are not mirrors about m = {mirror}")
     lower = _chain(_lower_staircase(pts))
     if len(lower) == 1:
-        return ConvexPolygon((pts[0],))
+        return tuple.__new__(ConvexPolygon, ((pts[0],),))
     lower.pop()  # p1, where the upper chain starts
     if mirror is None:
         upper = _chain(reversed(_upper_staircase(pts)))
         upper.pop()
     else:
         upper = [(mirror - x, mirror - y) for x, y in lower]
-    return ConvexPolygon(tuple(lower + upper))
+    return tuple.__new__(ConvexPolygon, (tuple(lower + upper),))
 
 
 def twice_area(poly: ConvexPolygon) -> int:

@@ -103,6 +103,15 @@ def test_polygon_validation():
         ConvexPolygon(((1, 0), (0, 0), (1, 1)))  # wrong start
     with pytest.raises(ValueError):
         ConvexPolygon(())
+    with pytest.raises(ValueError, match="strictly convex"):
+        # a pentagram: every turn is a left turn, but its edges cross
+        # (twice_area 39 against 63 for the hull of the same points)
+        ConvexPolygon(((-1, 4), (4, -1), (3, 6), (0, 0), (6, 3)))
+    poly = ConvexPolygon([(0, 0), (1, 0), (0, 1)])  # any sequence of points
+    assert type(poly.vertices) is tuple and poly.vertices == ((0, 0), (1, 0), (0, 1))
+    assert hash(poly) == hash(ConvexPolygon(poly.vertices))
+    lists = ConvexPolygon([[0, 0], [1, 0], [0, 1]])  # as json.loads gives hull --json vertices
+    assert lists == poly == convex_hull(poly.vertices) and hash(lists) == hash(poly)
 
 
 @settings(max_examples=150)
@@ -169,7 +178,35 @@ hull_inputs = st.one_of(
 @settings(max_examples=400)
 @given(hull_inputs)
 def test_hull_matches_reference_chain(pts):
-    assert convex_hull(pts).vertices == reference_hull(pts)
+    poly = convex_hull(pts)
+    assert poly.vertices == reference_hull(pts)
+    assert ConvexPolygon(poly.vertices) == poly
+
+
+def _turned_hull(pts, k, flip):
+    """reference_hull(pts) rotated to start at its vertex k (mod its
+    length), then reversed if flip: with 3 or more vertices, a hull's own
+    vertex list only when both leave it as it was."""
+    hull = reference_hull(pts)
+    k %= len(hull)
+    hull = hull[k:] + hull[:k]
+    return hull[::-1] if flip else hull
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.tuples(coord, coord), min_size=1, max_size=5),
+        hull_inputs,
+        st.builds(_turned_hull, hull_inputs, st.integers(0, 40), st.booleans()),
+    )
+)
+def test_polygon_is_valid_exactly_when_it_is_its_own_hull(v):
+    if tuple(v) == reference_hull(v):
+        assert ConvexPolygon(v).vertices == tuple(v)
+    else:
+        with pytest.raises(ValueError, match="strictly convex"):
+            ConvexPolygon(v)
 
 
 def test_hull_matches_reference_chain_on_grid_subsets():
@@ -242,6 +279,7 @@ def test_symmetric_hull_matches_reference_chain(case):
     hull = convex_hull(pts, mirror=m)
     assert hull == convex_hull(pts)
     assert hull.vertices == reference_hull(pts)
+    assert ConvexPolygon(hull.vertices) == hull
 
 
 def test_symmetric_hull_refuses_unmirrored_ends():

@@ -111,7 +111,9 @@ def test_factorize_rho_paths():
         n = math.prod(primes)
         d = _brent_rho(n)
         assert 1 < d < n and n % d == 0, (primes, d)
-        assert factorize(n).factors == tuple(sorted(Counter(primes).items())), primes
+        f = factorize(n)
+        assert f.factors == tuple(sorted(Counter(primes).items())), primes
+        assert Factorization(f.factors) == f
 
 
 def test_factorization_validates():
