@@ -6,8 +6,9 @@ One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
 `modhull verify`, and holds the one check of a modulus range.  A record is a
 SweepRecord tuple: its values in column order fill the CSV row, and one
 template built from its fields at import renders its cache line, byte for byte
-the sorted-key json.dumps of its key and fields.  run_sweep uses a cache only
-when it is given a cache file.
+the sorted-key json.dumps of its key and fields; the pattern of the same
+template reads the line back.  run_sweep uses a cache only when it is given a
+cache file.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -22,8 +23,10 @@ import contextlib
 import json
 import math
 import os
+import re
 import time
 from functools import lru_cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -210,23 +213,37 @@ _FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
 
 
-def _line_template() -> tuple[str, itemgetter]:
-    """The cache line's format and the getter of its values.  The format
-    lists the fields and "key": [m, a, version] in sorted key order, with
-    json.dumps' separators.  Ints print by %d and floats by %r, the
-    float.__repr__ json writes them with.  cache_line appends the JSON text
-    of the one bool and of the one str to the record, and the getter picks
-    every value, those two included, in the format's order."""
+# The spellings cache_line writes, as patterns: %d of an int, float.__repr__
+# of a finite float (a JSON number with a fraction or an exponent), the JSON
+# bool and a JSON string of printable ASCII and the escapes JSON allows
+_INT = "0|-?[1-9][0-9]*"
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_JSON_TEXT = {int: _INT, float: _FLOAT, bool: "true|false", str: r'"(?:[ !#-\[\]-~]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'}
+
+
+def _line_template() -> tuple[str, itemgetter, str]:
+    """The cache line's format, the getter of its values and its pattern.
+    The format lists the fields and "key": [m, a, version] in sorted key
+    order, with json.dumps' separators.  Ints print by %d and floats by %r,
+    the float.__repr__ json writes them with.  cache_line appends the JSON
+    text of the one bool and of the one str to the record, and the getter
+    picks every value, those two included, in the format's order.  The
+    pattern matches a whole line spelled as the format writes it, with one
+    group per field, named after it, and the groups key_m and key_a."""
     n = len(CSV_COLUMNS)
-    items = [("key", f"[%d, %d, {json.dumps(__version__).replace('%', '%%')}]", (CSV_COLUMNS.index("m"), CSV_COLUMNS.index("a")))]
+    version = json.dumps(__version__)
+    key = (f"[%d, %d, {version.replace('%', '%%')}]", rf"\[(?P<key_m>{_INT}), (?P<key_a>{_INT}), {re.escape(version)}\]")
+    items = [("key", *key, (CSV_COLUMNS.index("m"), CSV_COLUMNS.index("a")))]
     for i, (name, t) in enumerate(zip(CSV_COLUMNS, _FIELD_TYPES)):
-        items.append((name, {int: "%d", float: "%r", bool: "%s", str: "%s"}[t], ({bool: n, str: n + 1}.get(t, i),)))
+        spec = {int: "%d", float: "%r", bool: "%s", str: "%s"}[t]
+        items.append((name, spec, f"(?P<{name}>{_JSON_TEXT[t]})", ({bool: n, str: n + 1}.get(t, i),)))
     items.sort()
-    line = "{" + ", ".join(f"{json.dumps(name)}: {spec}" for name, spec, _ in items) + "}"
-    return line, itemgetter(*(i for _, _, at in items for i in at))
+    line = "{" + ", ".join(f"{json.dumps(name)}: {spec}" for name, spec, _, _ in items) + "}"
+    pattern = r"^\{" + ", ".join(f"{re.escape(json.dumps(name))}: {text}" for name, _, text, _ in items) + r"\}$"
+    return line, itemgetter(*(i for _, _, _, at in items for i in at)), pattern
 
 
-_LINE_FORMAT, _LINE_VALUES = _line_template()
+_LINE_FORMAT, _LINE_VALUES, _LINE_PATTERN = _line_template()
 _FLOAT_VALUES = itemgetter(*(i for i, t in enumerate(_FIELD_TYPES) if t is float))
 _JSON_BOOLS = ("false", "true")
 
@@ -265,34 +282,93 @@ def default_cache_file() -> Path:
 
 def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], SweepRecord]:
     """The records of this version with m in [m_min, m_max] in the cache
-    file, keyed by (m, a); each line's key is [m, a, version].  A line of
-    another version or modulus is passed over before a record is built.  Of
-    two lines with one key the later wins.  A damaged line is skipped, so its
-    record is recomputed: one that is torn, not ASCII or not a JSON record,
-    one with a field of the wrong type, a non-finite float (cache_line
-    refuses to write one) or a non-ASCII method (csv_row and write_csv rely
-    on it), and one whose key names another (m, a) than its fields."""
+    file, keyed by (m, a).  A line replays when it is spelled as cache_line
+    spells a record (the line pattern of _line_template): its keys in their
+    order with json.dumps' separators, ints as %d writes them, finite floats
+    with a fraction or an exponent, a method that is ASCII, and a key
+    [m, a, version] of this version that names the (m, a) of its fields.
+    Every line cache_line writes replays to the record that wrote it.  Any
+    other line is skipped and its record computed again: a torn line, one
+    of another version, one with a field of the wrong type, a non-finite
+    float (cache_line refuses to write one) or a non-ASCII method (csv_row
+    and write_csv rely on it), and also JSON this package never writes, such
+    as other spacing, another key order or a "\r\n" line end.  A line of
+    another modulus is passed over before a record is built.  Of two lines
+    with one key the later wins.  A missing file is an empty cache.
+
+    The file is read in blocks of whole lines, each matched by one findall
+    and converted column by column, so memory stays flat however long the
+    file."""
     out: dict[tuple[int, int], SweepRecord] = {}
-    if not Path(path).exists():
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:  # also when it is removed while a sweep starts
         return out
-    with open(path, "rb") as fh:
-        for line in fh:
+    findall = _line_reader()[0]
+    in_range = range(m_min, m_max + 1).__contains__
+    with fh:
+        while block := fh.read(_BLOCK_BYTES):
+            rows = findall(block + fh.readline())  # the block ends with a whole line
             try:
-                obj = json.loads(line.decode("ascii"))
-                m, a, version = obj.pop("key")
-                if version != __version__ or not m_min <= m <= m_max:
-                    continue
-                rec = SweepRecord(**obj)
-                if (
-                    tuple(map(type, rec)) == _FIELD_TYPES  # exact: True is no int, 3.0 no int
-                    and all(map(math.isfinite, _FLOAT_VALUES(rec)))  # json reads NaN and Infinity
-                    and rec.method.isascii()
-                    and (m, a) == (rec.m, rec.a)
-                ):
-                    out[m, a] = rec
-            except (ValueError, TypeError, KeyError, AttributeError):
-                continue  # blank or damaged line
+                out.update(_block_records(rows, in_range))
+            except ValueError:  # a damaged row: take the block's rows one by one
+                for row in rows:
+                    with contextlib.suppress(ValueError):
+                        out.update(_block_records([row], in_range))
     return out
+
+
+_BLOCK_BYTES = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _line_reader() -> tuple:
+    """The findall of the line pattern, the getter of a row's key m and the
+    getter of the key_m, key_a and field columns, in that order.  Compiled
+    on the first load, not at import."""
+    pattern = re.compile(_LINE_PATTERN.encode("ascii"), re.M)
+    group = {name: i - 1 for name, i in pattern.groupindex.items()}
+    columns = itemgetter(group["key_m"], group["key_a"], *map(group.get, CSV_COLUMNS))
+    return pattern.findall, itemgetter(group["key_m"]), columns
+
+
+def _decode_strings(column: tuple[bytes, ...]) -> list[str]:
+    texts = json.loads(b"[" + b",".join(column) + b"]")
+    if not "".join(texts).isascii():
+        raise ValueError("a method that is not ASCII")
+    return texts
+
+
+def _decode_floats(column: tuple[bytes, ...]) -> list[float]:
+    values = list(map(float, column))
+    if not all(map(math.isfinite, values)):  # 1e999 reads as inf
+        raise ValueError("a float that is not finite")
+    return values
+
+
+_DECODE = {
+    int: lambda column: list(map(int, column)),
+    float: _decode_floats,
+    bool: lambda column: list(map(b"true".__eq__, column)),  # the pattern admits true and false alone
+    str: _decode_strings,
+}
+
+
+def _block_records(rows: list[tuple[bytes, ...]], in_range) -> Iterator[tuple[tuple[int, int], SweepRecord]]:
+    """(key, record) for the matched rows whose key m is in range, in their
+    order.  The key m is read first, and the other rows are dropped before
+    anything else is converted.  A ValueError if any row kept is damaged: a
+    key that names another (m, a), an int too long to read, a float that is
+    not finite or a method that is not ASCII."""
+    _, key_m, columns = _line_reader()
+    rows = list(compress(rows, map(in_range, map(int, map(key_m, rows)))))
+    if not rows:
+        return iter(())
+    key_m, key_a, *fields = columns(tuple(zip(*rows)))  # m and a lead the fields
+    if (key_m, key_a) != (fields[0], fields[1]):  # one spelling per int: equal text, equal value
+        raise ValueError("a key that names another (m, a)")
+    values = [_DECODE[t](column) for t, column in zip(_FIELD_TYPES, fields)]
+    return zip(zip(values[0], values[1]), map(SweepRecord._make, zip(*values)))
 
 
 def _open_for_append(path: Path):
@@ -399,13 +475,19 @@ def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int
 
 def _stats(records: list[SweepRecord]) -> dict:
     n = len(records)
+    exponents = list(map(_EXPONENT, records))
+    norms = list(map(_NORM512, records))
     return {
         "count": n,
-        "max_exponent": max(r.exponent for r in records),
-        "mean_exponent": sum(r.exponent for r in records) / n,
-        "max_norm512": max(r.norm512 for r in records),
-        "mean_norm512": sum(r.norm512 for r in records) / n,
+        "max_exponent": max(exponents),
+        "mean_exponent": sum(exponents) / n,
+        "max_norm512": max(norms),
+        "mean_norm512": sum(norms) / n,
     }
+
+
+_EXPONENT = itemgetter(CSV_COLUMNS.index("exponent"))
+_NORM512 = itemgetter(CSV_COLUMNS.index("norm512"))
 
 
 def exponent_summary(records: list[SweepRecord]) -> dict:

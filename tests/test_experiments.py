@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import os
@@ -235,6 +236,124 @@ def test_cache_lines_load_back_to_their_records(tmp_path_factory, records):
     assert repr(loaded) == repr({(rec.m, rec.a): rec for rec in records})
 
 
+def reference_load_cache(path, m_min, m_max):
+    """The cache reader as it was before it matched lines against the line
+    pattern: json.loads of every line, then checks of the key, the types,
+    finiteness and ASCII.  It accepts every JSON spelling of a record, so
+    whatever the pattern reader accepts it must accept too, as the same
+    record."""
+    out = {}
+    if not Path(path).exists():
+        return out
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                obj = json.loads(line.decode("ascii"))
+                m, a, version = obj.pop("key")
+                if version != __version__ or not m_min <= m <= m_max:
+                    continue
+                rec = SweepRecord(**obj)
+                if (
+                    tuple(map(type, rec)) == experiments._FIELD_TYPES  # exact: True is no int, 3.0 no int
+                    and all(map(math.isfinite, experiments._FLOAT_VALUES(rec)))  # json reads NaN and Infinity
+                    and rec.method.isascii()
+                    and (m, a) == (rec.m, rec.a)
+                ):
+                    out[m, a] = rec
+            except (ValueError, TypeError, KeyError, AttributeError):
+                continue  # blank or damaged line
+    return out
+
+
+_VALUE_TEXT = re.compile(rb'"(\w+)": ("(?:[^"\\]|\\.)*"|[^,}]+)')  # a name and its value (the key's up to a comma)
+# float texts json reads as a non-finite float or as an int, or not at all
+_BAD_FLOATS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1E400", b"1", b"1.", b".5", b"01.5"]
+# escapes JSON refuses, escapes cache_line never writes, and raw bytes
+_METHOD_TEXT = [b"\\x41", b"\\u12", b"\\'", b"\\U0041", b"\\u0041", b"\\/", b"\\ud800", b"\\u00e9", b"\x7f", b"\x01", b"\t", b"\xff"]
+
+
+def _mutations(line: bytes):
+    """Byte-level damage to a cache line, each as a strategy of lines."""
+    digits = [i for i, c in enumerate(line) if chr(c).isdigit()]
+    values = [(match.start(2), match.end(2), match.group(1)) for match in _VALUE_TEXT.finditer(line)]
+    floats = [(start, end) for start, end, name in values if name.decode() in _FLOAT_FIELDS]
+    method = next(start for start, _, name in values if name == b"method")
+
+    def splice(start, end, text):
+        return line[:start] + text + line[end:]
+
+    def swap(i, j):
+        (s1, e1, _), (s2, e2, _) = sorted((values[i], values[j]))
+        return line[:s1] + line[s2:e2] + line[e1:s2] + line[s1:e1] + line[e2:]
+
+    positions = st.integers(0, len(line))
+    return st.one_of(
+        st.builds(lambda i, d: splice(i, i + 1, str(d).encode()), st.sampled_from(digits), st.integers(0, 9)),
+        st.permutations(range(len(values))).map(lambda order: swap(*order[:2])),
+        st.builds(lambda i, s: splice(i, i, s), positions, st.sampled_from([b" ", b"\t", b"\r", b"\n"])),
+        st.sampled_from([line.replace(b", ", b",", 1), line.replace(b": ", b":"), b" " + line, line + b"\r", line[:-1]]),
+        st.builds(lambda at, x: splice(*at, x), st.sampled_from(floats), st.sampled_from(_BAD_FLOATS)),
+        st.builds(lambda x: splice(method + 1, method + 1, x), st.sampled_from(_METHOD_TEXT)),
+        st.builds(lambda n: re.sub(rb'"key": \[-?\d+', b'"key": [%d' % n, line), st.integers(-3, 2**64)),
+        st.builds(lambda n: re.sub(rb'(?<=\[)(-?\d+), -?\d+', rb"\1, %d" % n, line), st.integers(-3, 2**64)),
+        st.builds(lambda i: splice(i, i + 1, b""), positions),
+        st.builds(lambda i, c: splice(i, i, bytes([c])), positions, st.integers(0, 255)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(rec=sweep_records(), data=st.data())
+def test_pattern_reader_accepts_only_what_the_json_reader_accepts(tmp_path_factory, rec, data):
+    path = tmp_path_factory.getbasetemp() / "differential.jsonl"
+    line = rec.cache_line().encode("ascii")
+    path.write_bytes(line + b"\n")
+    wide = (-(10**30), 10**30)  # no line is passed over for its modulus
+    loaded = experiments._load_cache(path, *wide)
+    assert repr(loaded) == repr(reference_load_cache(path, *wide))
+    assert (loaded == {(rec.m, rec.a): rec}) == rec.method.isascii()  # what cache_line writes replays
+    damaged = data.draw(_mutations(line))
+    path.write_bytes(damaged + b"\n")
+    loaded = experiments._load_cache(path, *wide)
+    reference = reference_load_cache(path, *wide)
+    assert all(repr(rec) == repr(reference.get(key)) for key, rec in loaded.items()), damaged
+
+
+def test_cache_replays_across_block_boundaries(tmp_path):
+    # every value has a fixed width, so a line changed up to the boundary
+    # keeps its length and the boundary stays where it was
+    def line(m, v=10):
+        rec = SweepRecord(m, 1, v, 100, 10, 1000, 10, False, 0.5, 0.25, "naive", 100, 123456)
+        return rec.cache_line().encode("ascii") + b"\n"
+
+    lines = [line(m) for m in range(1000, 1600)]
+    ends = list(itertools.accumulate(map(len, lines)))
+    b = next(i for i, end in enumerate(ends) if end >= experiments._BLOCK_BYTES)  # the first block's last line
+    assert ends[-1] > 2 * experiments._BLOCK_BYTES
+    lines[b - 1] = line(5000, v=11)
+    lines[b] = lines[b].replace(b'"squarefree": false', b'"squarefree": fals ')  # not cache_line's spelling
+    lines[b + 1] = lines[b + 1].replace(b'"m": 1', b'"m": 2')  # a key of another m than its field
+    lines[b + 2] = line(5000, v=12)  # the same key, past the boundary
+    lines[b + 4] = lines[b + 4].replace(b"0.25", b"1e999")  # reads as inf
+    lines[-1] = lines[-1][:-40]  # torn by a killed sweep
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"".join(lines))
+    loaded = experiments._load_cache(path, 1000, 5000)
+    assert repr(loaded) == repr(reference_load_cache(path, 1000, 5000))
+    assert loaded[5000, 1].v == 12  # the later line wins
+    gone = [1000 + i for i in (b - 1, b, b + 1, b + 2, b + 4, len(lines) - 1)]
+    assert sorted(m for m, _ in loaded) == sorted({*range(1000, 1600), 5000} - set(gone))
+
+
+def test_sweep_computes_when_its_cache_file_is_missing(tmp_path, monkeypatch):
+    assert experiments._load_cache(tmp_path / "missing.jsonl", 3, 10) == {}
+    # a file that a concurrent cleanup removes after a check that it exists
+    monkeypatch.setattr(Path, "exists", lambda self: True)
+    cache = tmp_path / "gone" / "cache.jsonl"
+    records = run_sweep(10, 12, APolicy("one"), cache_file=cache)
+    assert _masked(records) == _masked(run_sweep(10, 12, APolicy("one")))
+    assert experiments._load_cache(cache, 10, 12) == {(r.m, r.a): r for r in records}
+
+
 def test_pyproject_version_is_the_cache_version():
     # the cache key is (m, a, __version__): a bump in only one of the two
     # files would replay records of the old version as current ones
@@ -304,8 +423,8 @@ def test_warm_sweep_builds_only_its_own_records(tmp_path, monkeypatch):
     ]
     cache.write_bytes(b"".join(lines + stale))
     built = []
-    real = experiments.SweepRecord
-    monkeypatch.setattr(experiments, "SweepRecord", lambda **fields: built.append(fields["m"]) or real(**fields))
+    real = SweepRecord._make
+    monkeypatch.setattr(SweepRecord, "_make", lambda values: (rec := real(values), built.append(rec.m))[0])
     _forbid_compute(monkeypatch)
     assert run_sweep(10, 12, APolicy("one"), cache_file=cache) == wide[7:10]
     assert built == [10, 11, 12]
