@@ -4,11 +4,11 @@ append-only cache that keeps every record of interrupted and concurrent sweeps.
 
 One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
 `modhull verify`, and holds the one check of a modulus range.  A record is a
-SweepRecord tuple: its values in column order fill the CSV row, and one
-template built from its fields at import renders its cache line, byte for byte
-the sorted-key json.dumps of its key and fields; the pattern of the same
-template reads the line back.  run_sweep uses a cache only when it is given a
-cache file.
+SweepRecord tuple: its values in column order fill the CSV row.  Its cache
+line holds m, a, v, candidate_count and elapsed_ns and the version; every
+other column depends on m and v alone, and _record rebuilds it, the same for a
+computed record and a replayed one.  run_sweep uses a cache only when it is
+given a cache file.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -20,14 +20,12 @@ platform.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import re
 import time
 from functools import lru_cache
 from itertools import compress
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, get_type_hints
@@ -61,7 +59,7 @@ CACHE_ENV = "MODHULL_CACHE_DIR"
 # builds anything (APolicy.max_count).  A sweep holds every record, its
 # task lists, the cache dict and the CSV text at once: `modhull sweep
 # --a-policy all` over m in [3, 300] and [3, 700] (27,396 and 149,016
-# records) peaked at 30.1 and 97.2 MiB RSS cold and 33.7 and 126.3 MiB on
+# records) peaked at 29.4 and 89.8 MiB RSS cold and 29.3 and 95.2 MiB on
 # the warm replay, under 900 bytes a record, so the ceiling is about the
 # 1.8 GB that ENUMERATION_CEILING allows.  CPython 3.11, 64-bit Linux.
 SWEEP_CEILING = 2 * 10**6
@@ -199,61 +197,44 @@ class SweepRecord(NamedTuple):
         return _ROW_FORMAT % self
 
     def cache_line(self) -> str:
-        """json.dumps({"key": [m, a, __version__], **self._asdict()},
-        sort_keys=True), byte for byte.  A non-finite float, which json
-        would write as NaN or Infinity, is refused."""
-        if not all(map(math.isfinite, _FLOAT_VALUES(self))):
-            raise ValueError(f"record ({self.m}, {self.a}) holds a non-finite float; its cache line is not written")
-        return _LINE_FORMAT % _LINE_VALUES((*self, _JSON_BOOLS[self.squarefree], encode_basestring_ascii(self.method)))
+        """"m a v candidate_count elapsed_ns version", one space apart: the
+        columns a hull gives, then the version, last so that a line torn
+        short of its end never matches.  _record rebuilds the rest."""
+        return _LINE_FORMAT % _LINE_VALUES(self)
 
 
 CSV_COLUMNS = SweepRecord._fields
 _FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
 # booleans print as 0/1 and reals to six significant digits
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
+_LINE_FORMAT = "%d %d %d %d %d " + __version__
+_LINE_VALUES = itemgetter(*map(CSV_COLUMNS.index, ("m", "a", "v", "candidate_count", "elapsed_ns")))
 
 
-# The spellings cache_line writes, as patterns: %d of an int, float.__repr__
-# of a finite float (a JSON number with a fraction or an exponent), the JSON
-# bool and a JSON string of printable ASCII and the escapes JSON allows
-_INT = "0|-?[1-9][0-9]*"
-_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-_JSON_TEXT = {int: _INT, float: _FLOAT, bool: "true|false", str: r'"(?:[ !#-\[\]-~]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'}
-
-
-def _line_template() -> tuple[str, itemgetter, str]:
-    """The cache line's format, the getter of its values and its pattern.
-    The format lists the fields and "key": [m, a, version] in sorted key
-    order, with json.dumps' separators.  Ints print by %d and floats by %r,
-    the float.__repr__ json writes them with.  cache_line appends the JSON
-    text of the one bool and of the one str to the record, and the getter
-    picks every value, those two included, in the format's order.  The
-    pattern matches a whole line spelled as the format writes it, with one
-    group per field, named after it, and the groups key_m and key_a."""
-    n = len(CSV_COLUMNS)
-    version = json.dumps(__version__)
-    key = (f"[%d, %d, {version.replace('%', '%%')}]", rf"\[(?P<key_m>{_INT}), (?P<key_a>{_INT}), {re.escape(version)}\]")
-    items = [("key", *key, (CSV_COLUMNS.index("m"), CSV_COLUMNS.index("a")))]
-    for i, (name, t) in enumerate(zip(CSV_COLUMNS, _FIELD_TYPES)):
-        spec = {int: "%d", float: "%r", bool: "%s", str: "%s"}[t]
-        items.append((name, spec, f"(?P<{name}>{_JSON_TEXT[t]})", ({bool: n, str: n + 1}.get(t, i),)))
-    items.sort()
-    line = "{" + ", ".join(f"{json.dumps(name)}: {spec}" for name, spec, _, _ in items) + "}"
-    pattern = r"^\{" + ", ".join(f"{re.escape(json.dumps(name))}: {text}" for name, _, text, _ in items) + r"\}$"
-    return line, itemgetter(*(i for _, _, _, at in items for i in at)), pattern
-
-
-_LINE_FORMAT, _LINE_VALUES, _LINE_PATTERN = _line_template()
-_FLOAT_VALUES = itemgetter(*(i for i, t in enumerate(_FIELD_TYPES) if t is float))
-_JSON_BOOLS = ("false", "true")
-
-
-@lru_cache(maxsize=1)
-def _modulus_stats(m: int) -> tuple[int, int, int]:
-    """phi(m), the kernel of m and tau(m - 1).  A sweep visits the residues
-    of one modulus in a row, so the last modulus is all there is to keep."""
+def _modulus_stats(m: int) -> tuple:
+    """The columns of a record of modulus m that do not depend on a or v:
+    phi(m), tau(m - 1), the kernel of m, t, squarefree and method, then
+    log m and t*m^(5/12), the divisors of exponent and norm512."""
     f = factorize(m)
-    return f.phi, f.kernel, factorize(m - 1).tau
+    kernel = f.kernel
+    t = m // kernel
+    return f.phi, factorize(m - 1).tau, kernel, t, kernel == m, hull_method(m), math.log(m), t * m ** (5.0 / 12.0)
+
+
+# compute_record's: a sweep computes the residues of one modulus in a row
+_last_modulus_stats = lru_cache(maxsize=1)(_modulus_stats)
+
+
+def _record(m: int, a: int, v: int, candidate_count: int, elapsed_ns: int, stats: tuple) -> SweepRecord:
+    """The record of (m, a) whose hull has v vertices, given
+    _modulus_stats(m): every other column depends on m and v alone."""
+    phi, tau_m_minus_1, kernel, t, squarefree, method, log_m, t_m512 = stats
+    exponent = math.log(v) / log_m if v > 1 else 0.0
+    # SweepRecord(...) without the keyword handling of its __new__
+    return tuple.__new__(
+        SweepRecord,
+        (m, a, v, phi, tau_m_minus_1, kernel, t, squarefree, exponent, v / t_m512, method, candidate_count, elapsed_ns),
+    )
 
 
 def compute_record(m: int, a: int) -> SweepRecord:
@@ -263,112 +244,61 @@ def compute_record(m: int, a: int) -> SweepRecord:
     cands = candidate_points(spec)
     poly = convex_hull(cands, mirror=m)  # see candidate_points
     elapsed = time.perf_counter_ns() - start
-    phi, kernel, tau_m_minus_1 = _modulus_stats(m)
-    t = m // kernel
-    v = poly.vertex_count
-    exponent = math.log(v) / math.log(m) if v > 1 else 0.0
-    norm512 = v / (t * m ** (5.0 / 12.0))
-    return SweepRecord(
-        m, spec.a, v, phi, tau_m_minus_1, kernel, t, kernel == m, exponent, norm512, hull_method(m), len(cands), elapsed
-    )
+    return _record(m, spec.a, poly.vertex_count, len(cands), elapsed, _last_modulus_stats(m))
 
 
-# --- cache: one JSON record per line, appended as each record is computed ---
+# --- cache: one line per record, appended as each record is computed ---
 
 
 def default_cache_file() -> Path:
-    return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.jsonl"
+    return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.txt"
 
 
 def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], SweepRecord]:
     """The records of this version with m in [m_min, m_max] in the cache
     file, keyed by (m, a).  A line replays when it is spelled as cache_line
-    spells a record (the line pattern of _line_template): its keys in their
-    order with json.dumps' separators, ints as %d writes them, finite floats
-    with a fraction or an exponent, a method that is ASCII, and a key
-    [m, a, version] of this version that names the (m, a) of its fields.
-    Every line cache_line writes replays to the record that wrote it.  Any
-    other line is skipped and its record computed again: a torn line, one
-    of another version, one with a field of the wrong type, a non-finite
-    float (cache_line refuses to write one) or a non-ASCII method (csv_row
-    and write_csv rely on it), and also JSON this package never writes, such
-    as other spacing, another key order or a "\r\n" line end.  A line of
-    another modulus is passed over before a record is built.  Of two lines
-    with one key the later wins.  A missing file is an empty cache.
+    spells a record: five decimal integers without leading zeros, of at most
+    19 digits, m, a, v and candidate_count at least 1, then this version,
+    one space apart.  Every line cache_line writes replays to the record
+    that wrote it.  Any other line is skipped and its record computed again:
+    a torn line, one of another version, and also other spacing or a CRLF
+    line end.  A line of another modulus is passed over before its other
+    integers are read.  Of two lines with one key the later wins.  A missing
+    file is an empty cache.
 
-    The file is read in blocks of whole lines, each matched by one findall
-    and converted column by column, so memory stays flat however long the
-    file."""
+    The file is read in blocks of whole lines, each matched by one findall,
+    so memory stays flat however long the file.  The columns of a modulus
+    are derived once per block that holds it: m and m - 1 are factorized
+    then, so a replay pays more per record the fewer records a modulus has
+    (one, with --a-policy one)."""
     out: dict[tuple[int, int], SweepRecord] = {}
     try:
         fh = open(path, "rb")
     except FileNotFoundError:  # also when it is removed while a sweep starts
         return out
-    findall = _line_reader()[0]
+    findall = _line_pattern().findall
     in_range = range(m_min, m_max + 1).__contains__
     with fh:
         while block := fh.read(_BLOCK_BYTES):
             rows = findall(block + fh.readline())  # the block ends with a whole line
-            try:
-                out.update(_block_records(rows, in_range))
-            except ValueError:  # a damaged row: take the block's rows one by one
-                for row in rows:
-                    with contextlib.suppress(ValueError):
-                        out.update(_block_records([row], in_range))
+            if rows := list(compress(rows, map(in_range, map(int, map(_FIRST, rows))))):
+                m, a, *rest = (list(map(int, column)) for column in zip(*rows))
+                stats = {k: _modulus_stats(k) for k in set(m)}  # once per modulus, however the lines are ordered
+                out.update(zip(zip(m, a), map(_record, m, a, *rest, map(stats.__getitem__, m))))
     return out
 
 
 _BLOCK_BYTES = 1 << 16
+_FIRST = itemgetter(0)
 
 
 @lru_cache(maxsize=1)
-def _line_reader() -> tuple:
-    """The findall of the line pattern, the getter of a row's key m and the
-    getter of the key_m, key_a and field columns, in that order.  Compiled
-    on the first load, not at import."""
-    pattern = re.compile(_LINE_PATTERN.encode("ascii"), re.M)
-    group = {name: i - 1 for name, i in pattern.groupindex.items()}
-    columns = itemgetter(group["key_m"], group["key_a"], *map(group.get, CSV_COLUMNS))
-    return pattern.findall, itemgetter(group["key_m"]), columns
-
-
-def _decode_strings(column: tuple[bytes, ...]) -> list[str]:
-    texts = json.loads(b"[" + b",".join(column) + b"]")
-    if not "".join(texts).isascii():
-        raise ValueError("a method that is not ASCII")
-    return texts
-
-
-def _decode_floats(column: tuple[bytes, ...]) -> list[float]:
-    values = list(map(float, column))
-    if not all(map(math.isfinite, values)):  # 1e999 reads as inf
-        raise ValueError("a float that is not finite")
-    return values
-
-
-_DECODE = {
-    int: lambda column: list(map(int, column)),
-    float: _decode_floats,
-    bool: lambda column: list(map(b"true".__eq__, column)),  # the pattern admits true and false alone
-    str: _decode_strings,
-}
-
-
-def _block_records(rows: list[tuple[bytes, ...]], in_range) -> Iterator[tuple[tuple[int, int], SweepRecord]]:
-    """(key, record) for the matched rows whose key m is in range, in their
-    order.  The key m is read first, and the other rows are dropped before
-    anything else is converted.  A ValueError if any row kept is damaged: a
-    key that names another (m, a), an int too long to read, a float that is
-    not finite or a method that is not ASCII."""
-    _, key_m, columns = _line_reader()
-    rows = list(compress(rows, map(in_range, map(int, map(key_m, rows)))))
-    if not rows:
-        return iter(())
-    key_m, key_a, *fields = columns(tuple(zip(*rows)))  # m and a lead the fields
-    if (key_m, key_a) != (fields[0], fields[1]):  # one spelling per int: equal text, equal value
-        raise ValueError("a key that names another (m, a)")
-    values = [_DECODE[t](column) for t, column in zip(_FIELD_TYPES, fields)]
-    return zip(zip(values[0], values[1]), map(SweepRecord._make, zip(*values)))
+def _line_pattern() -> re.Pattern:
+    """The pattern of a cache line, one group per integer.  Compiled on the
+    first load, not at import."""
+    count = rb"([1-9][0-9]{0,18})"  # 19 digits at most: int() raises past 4300
+    version = re.escape(__version__.encode())
+    return re.compile(rb"^%s %s %s %s (0|[1-9][0-9]{0,18}) %s$" % (count, count, count, count, version), re.M)
 
 
 def _open_for_append(path: Path):

@@ -147,7 +147,9 @@ class _Factorization(NamedTuple):
 class Factorization(_Factorization):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
-    The empty tuple represents 1.
+    The empty tuple represents 1.  Every prime is checked, except in the
+    results of factorize, the one place that makes them unchecked: it lists
+    only primes.
     """
 
     __slots__ = ()
@@ -217,7 +219,9 @@ _TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1.  Trial division below 1000, then Brent rho on what is left."""
+    """Factor n >= 1.  Trial division below 1000, then Brent rho on what is
+    left, each factor of it tested by is_prime once.  The result is built
+    unchecked: it holds only trial primes and factors is_prime passed."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     if n >= FACTOR_CEILING:
@@ -241,7 +245,7 @@ def factorize(n: int) -> Factorization:
             d = _brent_rho(v)
             stack.append(d)
             stack.append(v // d)
-    return Factorization(tuple(sorted(counts.items())))
+    return tuple.__new__(Factorization, (tuple(sorted(counts.items())),))
 
 
 def divisors(f: Factorization | int) -> list[int]:

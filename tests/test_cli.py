@@ -4,6 +4,7 @@ import re
 import pytest
 
 from modhull import cli, experiments, hullfast, hyperbola
+from modhull._version import __version__
 from modhull.cli import main
 from modhull.experiments import SWEEP_CEILING, APolicy, sample_coprime
 from modhull.geometry import ConvexPolygon, convex_hull
@@ -257,26 +258,29 @@ def test_sweep_byte_identical_reruns(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-def test_sweep_recomputes_a_cache_line_with_a_non_finite_float(tmp_path, capsys, monkeypatch, value):
-    # json reads NaN and Infinity as floats, but no record holds one: the
-    # (7, 3) line is damaged, so (7, 3) is hulled again and its mirror (7, 4),
-    # whose line is gone, is built from the new record, not from the NaN
+def test_sweep_leaves_a_json_lines_cache_alone(tmp_path, capsys, monkeypatch):
+    # the cache of earlier versions, JSON lines in sweep-cache.jsonl, is
+    # neither read nor written: every hull is computed again, into
+    # sweep-cache.txt, and the CSV is a cacheless sweep's
     monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
-    argv = ["sweep", "--m-min", "7", "--m-max", "7", "--a-policy", "all", "--out", str(tmp_path / "r.csv")]
-    code, cold, _ = run_cli(capsys, *argv)
-    cold_csv = (tmp_path / "r.csv").read_text()
-    cache = tmp_path / "cache" / "sweep-cache.jsonl"
-    lines = cache.read_text().splitlines(keepends=True)
-    assert code == 0 and '"key": [7, 3, ' in lines[2] and '"key": [7, 4, ' in lines[3]
-    cache.write_text("".join(lines[:2] + [re.sub(r'"exponent": [^,]+', f'"exponent": {value}', lines[2])] + lines[4:]))
+    argv = ["sweep", "--m-min", "7", "--m-max", "12", "--a-policy", "all"]
+    code, cold, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "cold.csv"), "--no-cache")
+    assert code == 0
+    old = tmp_path / "cache" / "sweep-cache.jsonl"
+    old.parent.mkdir()
+    records = experiments.run_sweep(7, 12, APolicy("all"))
+    lines = (json.dumps({"key": [r.m, r.a, __version__], **r._asdict()}, sort_keys=True) + "\n" for r in records)
+    old.write_text("".join(lines))
+    before = old.read_bytes()
     computed = []
     real = experiments.compute_record
     monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append((m, a)) or real(m, a))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (0, cold, "") and "nan" not in out and computed == [(7, 3)]
-    warm_csv = (tmp_path / "r.csv").read_text()
-    assert re.sub(r",\d+$", "", warm_csv, flags=re.M) == re.sub(r",\d+$", "", cold_csv, flags=re.M)  # elapsed_ns masked
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert (code, err) == (0, "") and out == cold.replace("cold.csv", "r.csv")
+    assert old.read_bytes() == before and len(computed) == len(records) // 2
+    assert sorted(p.name for p in old.parent.iterdir()) == ["sweep-cache.jsonl", "sweep-cache.txt"]
+    masked = [re.sub(r",\d+$", "", (tmp_path / f).read_text(), flags=re.M) for f in ("cold.csv", "r.csv")]  # elapsed_ns
+    assert masked[0] == masked[1]
 
 
 def test_sweep_sample_of_more_than_every_unit_runs(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from modhull.experiments import (
     sample_coprime,
 )
 from modhull.geometry import convex_hull
+from modhull.hullfast import ENUMERATE_BELOW
 from modhull.hyperbola import HyperbolaSpec, enumerate_points
 from modhull.ntheory import factorize
 
@@ -86,13 +88,13 @@ def test_sample_coprime_stops_drawing_once_every_unit_is_chosen(monkeypatch, m, 
 
 
 def test_sweep_example_values(tmp_path):
-    records = run_sweep(3, 7, APolicy("one"), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(3, 7, APolicy("one"), cache_file=tmp_path / "c.txt")
     assert [r.v for r in records] == [2, 2, 4, 2, 6]
     assert [r.m for r in records] == [3, 4, 5, 6, 7]
-    records = run_sweep(7, 7, APolicy("all"), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(7, 7, APolicy("all"), cache_file=tmp_path / "c.txt")
     assert len(records) == 6
     assert [r.a for r in records] == [1, 2, 3, 4, 5, 6]
-    records = run_sweep(5, 5, APolicy("sample", k=2, seed=3), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(5, 5, APolicy("sample", k=2, seed=3), cache_file=tmp_path / "c.txt")
     assert len(records) == 2
 
 
@@ -109,14 +111,14 @@ def test_record_fields_consistent(tmp_path):
 
 
 def test_lower_bound_invariant_on_records(tmp_path):
-    records = run_sweep(3, 60, APolicy("one"), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(3, 60, APolicy("one"), cache_file=tmp_path / "c.txt")
     for r in records:
         assert r.v >= 2 * (r.tau_m_minus_1 - 1)
         assert 1 <= r.v <= r.phi
 
 
 def test_csv_schema_and_formatting(tmp_path):
-    records = run_sweep(10, 12, APolicy("one"), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(10, 12, APolicy("one"), cache_file=tmp_path / "c.txt")
     text = records_to_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -137,7 +139,7 @@ def test_csv_schema_and_formatting(tmp_path):
 
 
 def test_sweep_determinism_with_cache(tmp_path):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     r1 = run_sweep(20, 40, APolicy("sample", k=2, seed=42), cache_file=cache)
     r2 = run_sweep(20, 40, APolicy("sample", k=2, seed=42), cache_file=cache)
     assert records_to_csv(r1) == records_to_csv(r2)  # byte-identical replay
@@ -145,7 +147,7 @@ def test_sweep_determinism_with_cache(tmp_path):
 
 
 def test_sweep_cache_coherence(tmp_path):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     r1 = run_sweep(30, 50, APolicy("one"), cache_file=cache)
     # warm rerun must not recompute: timings replay exactly
     r2 = run_sweep(30, 50, APolicy("one"), cache_file=cache)
@@ -156,199 +158,146 @@ def test_sweep_cache_coherence(tmp_path):
         assert poly.vertex_count == rec.v
 
 
-def test_sweep_cache_file_is_jsonl(tmp_path):
-    cache = tmp_path / "cache.jsonl"
-    run_sweep(10, 12, APolicy("one"), cache_file=cache)
+def test_sweep_cache_file_holds_one_line_per_record(tmp_path):
+    cache = tmp_path / "cache.txt"
+    records = run_sweep(10, 12, APolicy("one"), cache_file=cache)
     lines = cache.read_text().strip().split("\n")
-    assert len(lines) == 3
-    obj = json.loads(lines[0])
-    assert obj["m"] == 10 and "key" in obj
+    assert [line.split() for line in lines] == [
+        [str(r.m), "1", str(r.v), str(r.candidate_count), str(r.elapsed_ns), __version__] for r in records
+    ]
 
 
 # the cache line of (m, a) = (7, 3) with elapsed_ns = 1500, byte for byte as
-# the package has always written it for this version
-CACHE_LINE_7_3 = (
-    '{"a": 3, "candidate_count": 6, "elapsed_ns": 1500, "exponent": 0.9207822211616018, "kernel": 7, '
-    f'"key": [7, 3, "{__version__}"], "m": 7, "method": "naive", "norm512": 2.667024879461478, "phi": 6, '
-    '"squarefree": true, "t": 1, "tau_m_minus_1": 4, "v": 6}'
-)
+# the package writes it for this version
+CACHE_LINE_7_3 = f"7 3 6 6 1500 {__version__}"
 # the same for (1000, 1): a certified ("fast") hull of a modulus that is not
 # squarefree
-CACHE_LINE_1000_1 = (
-    '{"a": 1, "candidate_count": 26, "elapsed_ns": 1500, "exponent": 0.38204267855941265, "kernel": 10, '
-    f'"key": [1000, 1, "{__version__}"], "m": 1000, "method": "fast", "norm512": 0.007872778552664885, '
-    '"phi": 400, "squarefree": false, "t": 100, "tau_m_minus_1": 8, "v": 14}'
-)
+CACHE_LINE_1000_1 = f"1000 1 14 26 1500 {__version__}"
 
 
 def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
     real = experiments.compute_record
     monkeypatch.setattr(experiments, "compute_record", lambda m, a: real(m, a)._replace(elapsed_ns=1500))
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     records = run_sweep(7, 7, APolicy("all"), cache_file=cache)
     records += run_sweep(1000, 1000, APolicy("one"), cache_file=cache)
     lines = cache.read_text(encoding="ascii").split("\n")
     assert len(lines) == 8 and lines[2] == CACHE_LINE_7_3 and lines[6] == CACHE_LINE_1000_1 and lines[-1] == ""
     # a cache written in this format, by this version or an earlier build of
     # it, replays to the same record
-    old = tmp_path / "old.jsonl"
+    old = tmp_path / "old.txt"
     old.write_text(CACHE_LINE_7_3 + "\n" + CACHE_LINE_1000_1 + "\n", encoding="ascii")
     assert experiments._load_cache(old, 7, 1000) == {(7, 3): records[2], (1000, 1): records[6]}
 
 
-_FLOAT_FIELDS = [name for name, t in zip(CSV_COLUMNS, experiments._FIELD_TYPES) if t is float]
+def _built(m, a, v, candidate_count, elapsed_ns):
+    """The record _load_cache builds from these five integers."""
+    return experiments._record(m, a, v, candidate_count, elapsed_ns, experiments._modulus_stats(m))
 
 
-def sweep_records(method=st.text() | st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "na\u00efve", "\u2028", "\U0001f600"])):
-    """SweepRecords whose values have exactly the declared types: ints up to
-    +-2^63, finite floats of every magnitude and text for method."""
-    values = {
-        int: st.integers(-(2**63), 2**63),
-        float: st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, sys.float_info.max]),
-        bool: st.booleans(),
-        str: method,
-    }
-    return st.builds(SweepRecord, *(values[t] for t in experiments._FIELD_TYPES))
-
-
-@settings(max_examples=300, deadline=None)
-@given(sweep_records())
-def test_cache_line_is_the_sorted_key_json_dumps(rec):
-    assert rec.cache_line() == json.dumps({"key": [rec.m, rec.a, __version__], **rec._asdict()}, sort_keys=True)
+# the integers a cache line may hold: at most 19 digits, elapsed_ns from 0
+_COUNTS = st.integers(1, 10**19 - 1)
 
 
 @settings(deadline=None)
-@given(sweep_records(), st.sampled_from(_FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_cache_line_refuses_non_finite_floats(rec, field, x):
-    # json.dumps would write NaN or Infinity; %r would write nan or inf, so
-    # the line is refused rather than written differently
-    with pytest.raises(ValueError, match=re.escape(f"record ({rec.m}, {rec.a}) holds a non-finite float; its cache line is not written")):
-        rec._replace(**{field: x}).cache_line()
-
-
-@settings(deadline=None)
-@given(records=st.lists(sweep_records(st.text(st.characters(max_codepoint=127))), min_size=1, max_size=6, unique_by=lambda r: r[:2]))
-def test_cache_lines_load_back_to_their_records(tmp_path_factory, records):
-    path = tmp_path_factory.getbasetemp() / "round-trip.jsonl"
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 2**31), _COUNTS, _COUNTS, _COUNTS, st.integers(0, 10**19 - 1)),
+        min_size=1, max_size=6, unique_by=lambda row: row[:2],
+    )
+)
+def test_cache_lines_load_back_to_their_records(tmp_path_factory, rows):
+    records = [_built(*row) for row in rows]
+    path = tmp_path_factory.getbasetemp() / "round-trip.txt"
     path.write_bytes(b"".join(rec.cache_line().encode("ascii") + b"\n" for rec in records))
     loaded = experiments._load_cache(path, min(r.m for r in records), max(r.m for r in records))
     # repr tells -0.0 from 0.0 and True from 1, which == does not
     assert repr(loaded) == repr({(rec.m, rec.a): rec for rec in records})
 
 
-def reference_load_cache(path, m_min, m_max):
-    """The cache reader as it was before it matched lines against the line
-    pattern: json.loads of every line, then checks of the key, the types,
-    finiteness and ASCII.  It accepts every JSON spelling of a record, so
-    whatever the pattern reader accepts it must accept too, as the same
-    record."""
-    out = {}
-    if not Path(path).exists():
-        return out
-    with open(path, "rb") as fh:
-        for line in fh:
-            try:
-                obj = json.loads(line.decode("ascii"))
-                m, a, version = obj.pop("key")
-                if version != __version__ or not m_min <= m <= m_max:
-                    continue
-                rec = SweepRecord(**obj)
-                if (
-                    tuple(map(type, rec)) == experiments._FIELD_TYPES  # exact: True is no int, 3.0 no int
-                    and all(map(math.isfinite, experiments._FLOAT_VALUES(rec)))  # json reads NaN and Infinity
-                    and rec.method.isascii()
-                    and (m, a) == (rec.m, rec.a)
-                ):
-                    out[m, a] = rec
-            except (ValueError, TypeError, KeyError, AttributeError):
-                continue  # blank or damaged line
-    return out
+def test_computed_records_replay_from_their_lines(tmp_path):
+    # seeded units on both sides of ENUMERATE_BELOW, up to MODULUS_CEILING
+    rng = random.Random(2101)
+    moduli = [rng.randrange(2, ENUMERATE_BELOW) for _ in range(30)]
+    moduli += [int(math.exp(rng.uniform(math.log(ENUMERATE_BELOW), math.log(2**31)))) for _ in range(10)] + [2**31]
+    tasks = {(m, a) for m in moduli for a in [rng.randrange(1, m)] if math.gcd(a, m) == 1}
+    computed = {task: compute_record(*task) for task in sorted(tasks)}
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"".join(rec.cache_line().encode("ascii") + b"\n" for rec in computed.values()))
+    assert repr(experiments._load_cache(path, 2, 2**31)) == repr(computed)
 
 
-_VALUE_TEXT = re.compile(rb'"(\w+)": ("(?:[^"\\]|\\.)*"|[^,}]+)')  # a name and its value (the key's up to a comma)
-# float texts json reads as a non-finite float or as an int, or not at all
-_BAD_FLOATS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1E400", b"1", b"1.", b".5", b"01.5"]
-# escapes JSON refuses, escapes cache_line never writes, and raw bytes
-_METHOD_TEXT = [b"\\x41", b"\\u12", b"\\'", b"\\U0041", b"\\u0041", b"\\/", b"\\ud800", b"\\u00e9", b"\x7f", b"\x01", b"\t", b"\xff"]
-
-
-def _mutations(line: bytes):
-    """Byte-level damage to a cache line, each as a strategy of lines."""
-    digits = [i for i, c in enumerate(line) if chr(c).isdigit()]
-    values = [(match.start(2), match.end(2), match.group(1)) for match in _VALUE_TEXT.finditer(line)]
-    floats = [(start, end) for start, end, name in values if name.decode() in _FLOAT_FIELDS]
-    method = next(start for start, _, name in values if name == b"method")
-
-    def splice(start, end, text):
-        return line[:start] + text + line[end:]
-
-    def swap(i, j):
-        (s1, e1, _), (s2, e2, _) = sorted((values[i], values[j]))
-        return line[:s1] + line[s2:e2] + line[e1:s2] + line[s1:e1] + line[e2:]
-
-    positions = st.integers(0, len(line))
-    return st.one_of(
-        st.builds(lambda i, d: splice(i, i + 1, str(d).encode()), st.sampled_from(digits), st.integers(0, 9)),
-        st.permutations(range(len(values))).map(lambda order: swap(*order[:2])),
-        st.builds(lambda i, s: splice(i, i, s), positions, st.sampled_from([b" ", b"\t", b"\r", b"\n"])),
-        st.sampled_from([line.replace(b", ", b",", 1), line.replace(b": ", b":"), b" " + line, line + b"\r", line[:-1]]),
-        st.builds(lambda at, x: splice(*at, x), st.sampled_from(floats), st.sampled_from(_BAD_FLOATS)),
-        st.builds(lambda x: splice(method + 1, method + 1, x), st.sampled_from(_METHOD_TEXT)),
-        st.builds(lambda n: re.sub(rb'"key": \[-?\d+', b'"key": [%d' % n, line), st.integers(-3, 2**64)),
-        st.builds(lambda n: re.sub(rb'(?<=\[)(-?\d+), -?\d+', rb"\1, %d" % n, line), st.integers(-3, 2**64)),
-        st.builds(lambda i: splice(i, i + 1, b""), positions),
-        st.builds(lambda i, c: splice(i, i, bytes([c])), positions, st.integers(0, 255)),
-    )
-
-
-@settings(max_examples=500, deadline=None)
-@given(rec=sweep_records(), data=st.data())
-def test_pattern_reader_accepts_only_what_the_json_reader_accepts(tmp_path_factory, rec, data):
-    path = tmp_path_factory.getbasetemp() / "differential.jsonl"
-    line = rec.cache_line().encode("ascii")
-    path.write_bytes(line + b"\n")
-    wide = (-(10**30), 10**30)  # no line is passed over for its modulus
-    loaded = experiments._load_cache(path, *wide)
-    assert repr(loaded) == repr(reference_load_cache(path, *wide))
-    assert (loaded == {(rec.m, rec.a): rec}) == rec.method.isascii()  # what cache_line writes replays
-    damaged = data.draw(_mutations(line))
-    path.write_bytes(damaged + b"\n")
-    loaded = experiments._load_cache(path, *wide)
-    reference = reference_load_cache(path, *wide)
-    assert all(repr(rec) == repr(reference.get(key)) for key, rec in loaded.items()), damaged
+def _line(m, v=10):
+    return _built(m, 1, v, 100, 123456).cache_line().encode("ascii") + b"\n"
 
 
 def test_cache_replays_across_block_boundaries(tmp_path):
     # every value has a fixed width, so a line changed up to the boundary
     # keeps its length and the boundary stays where it was
-    def line(m, v=10):
-        rec = SweepRecord(m, 1, v, 100, 10, 1000, 10, False, 0.5, 0.25, "naive", 100, 123456)
-        return rec.cache_line().encode("ascii") + b"\n"
-
-    lines = [line(m) for m in range(1000, 1600)]
+    lines = [_line(m) for m in range(1000, 6000)]
     ends = list(itertools.accumulate(map(len, lines)))
     b = next(i for i, end in enumerate(ends) if end >= experiments._BLOCK_BYTES)  # the first block's last line
     assert ends[-1] > 2 * experiments._BLOCK_BYTES
-    lines[b - 1] = line(5000, v=11)
-    lines[b] = lines[b].replace(b'"squarefree": false', b'"squarefree": fals ')  # not cache_line's spelling
-    lines[b + 1] = lines[b + 1].replace(b'"m": 1', b'"m": 2')  # a key of another m than its field
-    lines[b + 2] = line(5000, v=12)  # the same key, past the boundary
-    lines[b + 4] = lines[b + 4].replace(b"0.25", b"1e999")  # reads as inf
-    lines[-1] = lines[-1][:-40]  # torn by a killed sweep
-    path = tmp_path / "cache.jsonl"
+    lines[b - 1] = _line(9999, v=11)
+    lines[b] = lines[b].replace(b" 123456 ", b" 012345 ")  # not cache_line's spelling
+    lines[b + 1] = lines[b + 1].replace(b" 100 ", b"\t100 ")
+    lines[b + 2] = _line(9999, v=12)  # the same key, past the boundary
+    lines[-1] = lines[-1][:-4]  # torn by a killed sweep
+    path = tmp_path / "cache.txt"
     path.write_bytes(b"".join(lines))
-    loaded = experiments._load_cache(path, 1000, 5000)
-    assert repr(loaded) == repr(reference_load_cache(path, 1000, 5000))
-    assert loaded[5000, 1].v == 12  # the later line wins
-    gone = [1000 + i for i in (b - 1, b, b + 1, b + 2, b + 4, len(lines) - 1)]
-    assert sorted(m for m, _ in loaded) == sorted({*range(1000, 1600), 5000} - set(gone))
+    kept = [m for i, m in enumerate(range(1000, 6000)) if i not in (b - 1, b, b + 1, b + 2, len(lines) - 1)]
+    expected = {(m, 1): _built(m, 1, 10, 100, 123456) for m in kept}
+    expected[9999, 1] = _built(9999, 1, 12, 100, 123456)  # the later line wins
+    loaded = experiments._load_cache(path, 1000, 9999)
+    assert list(map(repr, sorted(loaded.items()))) == list(map(repr, sorted(expected.items())))
+
+
+def test_interleaved_cache_lines_derive_each_modulus_once(tmp_path, monkeypatch):
+    # two sweeps appending to one cache at once interleave their lines
+    rows = [(m, a, 4, 8, 1000 + a) for a in range(1, 12) for m in (23, 29)]
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"".join(_built(*row).cache_line().encode("ascii") + b"\n" for row in rows))
+    expected = {row[:2]: _built(*row) for row in rows}
+    derived = []
+    real = experiments._modulus_stats
+    monkeypatch.setattr(experiments, "_modulus_stats", lambda m: derived.append(m) or real(m))
+    assert experiments._load_cache(path, 2, 100) == expected
+    assert sorted(derived) == [23, 29]
+
+
+# damage to the cache line of (11, 1): each one is not cache_line's spelling
+_DAMAGE = {
+    "leading zero": lambda line: b"0" + line,
+    "20-digit integer": lambda line: re.sub(rb"^(\d+ \d+ \d+ \d+) \d+", rb"\1 1" + b"0" * 19, line),
+    "no version": lambda line: line.replace(f" {__version__}".encode(), b""),
+    "other version": lambda line: line.replace(__version__.encode(), b"0.0.0"),
+    "extra space": lambda line: line.replace(b" ", b"  ", 1),
+    "trailing space": lambda line: line + b" ",
+    "CRLF": lambda line: line + b"\r",
+    "torn tail": lambda line: line[:-2],
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGE), ids=list(_DAMAGE))
+def test_damaged_cache_line_is_recomputed(tmp_path, monkeypatch, damage):
+    cache = tmp_path / "cache.txt"
+    cold = run_sweep(10, 12, APolicy("one"), cache_file=cache)
+    lines = cache.read_bytes().split(b"\n")
+    assert lines[1].startswith(b"11 1 ")
+    cache.write_bytes(b"\n".join([lines[0], _DAMAGE[damage](lines[1]), *lines[2:]]))
+    assert list(experiments._load_cache(cache, 10, 12)) == [(10, 1), (12, 1)]
+    computed = []
+    real = experiments.compute_record
+    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append(m) or real(m, a))
+    warm = run_sweep(10, 12, APolicy("one"), cache_file=cache)
+    assert computed == [11] and warm[::2] == cold[::2] and _masked(warm) == _masked(cold)
 
 
 def test_sweep_computes_when_its_cache_file_is_missing(tmp_path, monkeypatch):
-    assert experiments._load_cache(tmp_path / "missing.jsonl", 3, 10) == {}
+    assert experiments._load_cache(tmp_path / "missing.txt", 3, 10) == {}
     # a file that a concurrent cleanup removes after a check that it exists
     monkeypatch.setattr(Path, "exists", lambda self: True)
-    cache = tmp_path / "gone" / "cache.jsonl"
+    cache = tmp_path / "gone" / "cache.txt"
     records = run_sweep(10, 12, APolicy("one"), cache_file=cache)
     assert _masked(records) == _masked(run_sweep(10, 12, APolicy("one")))
     assert experiments._load_cache(cache, 10, 12) == {(r.m, r.a): r for r in records}
@@ -381,19 +330,25 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
 
 
 def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     r1 = run_sweep(10, 17, APolicy("one"), cache_file=cache)
     lines = cache.read_bytes().split(b"\n")  # the records for m = 10, ..., 17
-    lines[2] = lines[2].replace(b'"naive"', b'"na\xffve"')
-    # well-formed JSON records that break the schema: fields of the wrong type,
-    # a non-ASCII method, and a key that disagrees with the record's m
-    lines[3] = re.sub(rb'"v": \d+', b'"v": "x"', lines[3])
-    lines[4] = re.sub(rb'"v": (\d+)', rb'"v": \1.0', lines[4])
-    lines[5] = re.sub(rb'"squarefree": \w+', b'"squarefree": 7', lines[5])
-    lines[6] = lines[6].replace(b'"naive"', b'"na\\u00efve"')
-    lines[7] = lines[7].replace(b'"m": 17,', b'"m": 16,')
-    # valid JSON that is not an object, and a stray non-ASCII byte
-    damaged = [b"not json", b"123", b"null", b'"x"', b"[1]", b"\xff"]
+
+    def with_field(line, i, text):
+        fields = line.split(b" ")
+        fields[i] = text
+        return b" ".join(fields)
+
+    # a non-ASCII byte, integers this package never writes, and the line of
+    # the JSON cache that came before this format
+    lines[2] = lines[2].replace(b" ", b"\xa0", 1)
+    lines[3] = with_field(lines[3], 2, b"x")
+    lines[4] = with_field(lines[4], 2, lines[4].split(b" ")[2] + b".0")
+    lines[5] = with_field(lines[5], 4, b"-5")
+    lines[6] = with_field(lines[6], 2, b"0")
+    lines[7] = json.dumps({"key": [17, 1, __version__], **r1[7]._asdict()}, sort_keys=True).encode()
+    # lines that hold no record at all, and a stray non-ASCII byte
+    damaged = [b"not json", b"123", b"null", b'"x"', b"[1]", b"\xff", b""]
     cache.write_bytes(b"\n".join(damaged + lines) + b'{"key": [1]}\n')
     computed = []
     real = experiments.compute_record
@@ -413,18 +368,16 @@ def _forbid_compute(monkeypatch):
 def test_warm_sweep_builds_only_its_own_records(tmp_path, monkeypatch):
     # a cache line of another version, or with m outside the sweep's range,
     # is passed over before a SweepRecord is built from it
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     wide = run_sweep(3, 30, APolicy("one"), cache_file=cache)
     lines = cache.read_bytes().splitlines(keepends=True)  # m = 3, ..., 30
-    this_version = f'"{__version__}"]'.encode()
+    this_version = f" {__version__}\n".encode()
     # later lines for m = 10, 11, 12 of another version, with a changed v
-    stale = [
-        re.sub(rb'"v": \d+', b'"v": 99', line).replace(this_version, b'"0.0.0"]') for line in lines[7:10]
-    ]
+    stale = [re.sub(rb"^(\d+ \d+) \d+", rb"\1 99", line).replace(this_version, b" 0.0.0\n") for line in lines[7:10]]
     cache.write_bytes(b"".join(lines + stale))
     built = []
-    real = SweepRecord._make
-    monkeypatch.setattr(SweepRecord, "_make", lambda values: (rec := real(values), built.append(rec.m))[0])
+    real = experiments._record
+    monkeypatch.setattr(experiments, "_record", lambda m, *rest: built.append(m) or real(m, *rest))
     _forbid_compute(monkeypatch)
     assert run_sweep(10, 12, APolicy("one"), cache_file=cache) == wide[7:10]
     assert built == [10, 11, 12]
@@ -461,7 +414,7 @@ def test_compute_record_hulls_by_symmetry(monkeypatch):
 
 def test_sweep_appends_after_torn_last_line(tmp_path, monkeypatch):
     # a sweep killed in the middle of a write leaves a last line without "\n"
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     run_sweep(10, 12, APolicy("one"), cache_file=cache)
     cache.write_bytes(cache.read_bytes()[:-20])
     wide = run_sweep(10, 16, APolicy("one"), cache_file=cache)
@@ -471,7 +424,7 @@ def test_sweep_appends_after_torn_last_line(tmp_path, monkeypatch):
 
 
 def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     real = experiments.compute_record
     done = []
 
@@ -490,7 +443,7 @@ def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch):
 def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):
     # the first record of the outer sweep runs a whole second sweep into the
     # same cache file: the outer one loaded the cache before the inner one wrote
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     real = experiments.compute_record
     inner = []
 
@@ -511,7 +464,7 @@ def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):
 
 def _mask_elapsed(text: str) -> str:
     """Cache lines or CSV text with every elapsed_ns set to 0."""
-    return re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', re.sub(r",\d+$", ",0", text, flags=re.M))
+    return re.sub(r"^((?:\d+ ){4})\d+ ", r"\g<1>0 ", re.sub(r",\d+$", ",0", text, flags=re.M), flags=re.M)
 
 
 def test_two_processes_sweep_into_one_cache(tmp_path, monkeypatch):
@@ -532,7 +485,7 @@ def test_two_processes_sweep_into_one_cache(tmp_path, monkeypatch):
         assert child.returncode == 0, err
     _forbid_compute(monkeypatch)
     for lo, hi in ranges:
-        replay = run_sweep(lo, hi, APolicy("all"), cache_file=tmp_path / "cache" / "sweep-cache.jsonl")
+        replay = run_sweep(lo, hi, APolicy("all"), cache_file=tmp_path / "cache" / "sweep-cache.txt")
         assert _mask_elapsed(records_to_csv(replay)) == _mask_elapsed((tmp_path / f"{lo}.csv").read_text())
 
 
@@ -548,7 +501,7 @@ def test_sweep_without_cache(tmp_path, monkeypatch):
 def test_sweep_workers_match_serial(tmp_path):
     # "one" has no mirror pairs; under "all" the main process builds the mirrors
     for policy, m_min, m_max in (("one", 10, 60), ("all", 3, 60)):
-        a, b = tmp_path / f"{policy}-a.jsonl", tmp_path / f"{policy}-b.jsonl"
+        a, b = tmp_path / f"{policy}-a.txt", tmp_path / f"{policy}-b.txt"
         serial = run_sweep(m_min, m_max, APolicy(policy), cache_file=a)
         parallel = run_sweep(m_min, m_max, APolicy(policy), workers=2, cache_file=b)
         strip = lambda recs: [(r.m, r.a, r.v, r.phi, r.candidate_count) for r in recs]
@@ -582,7 +535,7 @@ def test_cold_all_sweep_hulls_each_mirror_pair_once(monkeypatch):
 def test_sweep_of_mirrors_alone_hulls_nothing(tmp_path, monkeypatch, workers):
     # the cache holds (7, 1), (7, 2) and (7, 3): each missing task is the
     # mirror of a cached record, so the list of tasks to hull is empty
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     cold = run_sweep(7, 7, APolicy("all"), cache_file=cache)
     cache.write_bytes(b"".join(cache.read_bytes().splitlines(keepends=True)[:3]))
     _forbid_compute(monkeypatch)
@@ -593,7 +546,7 @@ def test_sweep_of_mirrors_alone_hulls_nothing(tmp_path, monkeypatch, workers):
 def test_interrupted_all_sweep_keeps_its_mirror_records(tmp_path, monkeypatch):
     # the eleventh hull, of (9, 1), is interrupted: the records of m <= 8,
     # ten hulled and ten read off their partners, are all in the cache
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache.txt"
     real = experiments.compute_record
     hulled = []
 
@@ -645,7 +598,7 @@ def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "compute_record", functools.partial(_logged_compute_record, log))
     monkeypatch.setattr(experiments, "_open_for_append", lambda path: FullDisk())
     with pytest.raises(OSError):
-        run_sweep(3, 120, APolicy("all"), workers=2, cache_file=tmp_path / "c.jsonl")
+        run_sweep(3, 120, APolicy("all"), workers=2, cache_file=tmp_path / "c.txt")
     total = sum(len(APolicy("all").a_values(m)) for m in range(3, 121))
     computed = len(log.read_text().splitlines()) if log.exists() else 0
     assert 0 < computed < total // 4  # the workers ran the fake; the queued tasks were cancelled
@@ -661,8 +614,8 @@ def test_sweep_rejects_bad_range():
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
     with pytest.raises(ValueError, match="workers"):
-        run_sweep(10, 12, APolicy("one"), workers=workers, cache_file=tmp_path / "w.jsonl")
-    assert not (tmp_path / "w.jsonl").exists()
+        run_sweep(10, 12, APolicy("one"), workers=workers, cache_file=tmp_path / "w.txt")
+    assert not (tmp_path / "w.txt").exists()
 
 
 def test_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
@@ -696,8 +649,8 @@ def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
         (2, SWEEP_CEILING // 2 + 2, APolicy("sample", k=2)),
     ]:
         with pytest.raises(ValueError, match=str(SWEEP_CEILING)):
-            run_sweep(m_min, m_max, policy, cache_file=tmp_path / "c.jsonl")
-    assert not (tmp_path / "c.jsonl").exists()
+            run_sweep(m_min, m_max, policy, cache_file=tmp_path / "c.txt")
+    assert not (tmp_path / "c.txt").exists()
     # the bounds: one residue, k residues, or m - 1 >= phi(m) per modulus
     assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 5 + 6 + 7 + 8]
     assert APolicy("sample", 10).max_count(5, 9) == 4 + 5 + 6 + 7 + 8  # a sample holds at most every unit
@@ -712,10 +665,10 @@ def test_sweep_and_census_refuse_moduli_past_the_ceiling(tmp_path, monkeypatch):
     message = re.escape("modulus must be in [2, 2**31], got 2147483649")
     for policy in (APolicy("one"), APolicy("sample", k=2)):
         with pytest.raises(ValueError, match=message):
-            run_sweep(2**31 - 1, 2**31 + 1, policy, cache_file=tmp_path / "c.jsonl")
+            run_sweep(2**31 - 1, 2**31 + 1, policy, cache_file=tmp_path / "c.txt")
     with pytest.raises(ValueError, match=message):
         lower_bound_census(2**31 - 1, 2**31 + 1)
-    assert not (tmp_path / "c.jsonl").exists()
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_census_examples():
@@ -731,7 +684,7 @@ def test_census_examples():
 
 
 def test_exponent_summary_shapes(tmp_path):
-    records = run_sweep(7, 40, APolicy("one"), cache_file=tmp_path / "c.jsonl")
+    records = run_sweep(7, 40, APolicy("one"), cache_file=tmp_path / "c.txt")
     summary = exponent_summary(records)
     assert summary["overall"]["count"] == len(records)
     assert set(summary["by_squarefree"]) <= {"squarefree", "non_squarefree"}

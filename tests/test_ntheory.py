@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from modhull import ntheory
 from modhull.ntheory import (
     Factorization,
     NotInvertible,
@@ -91,6 +93,64 @@ def test_factorize_large_semiprime():
     assert f.factors == ((q, 1), (p, 1))
 
 
+_TRIAL_PRIMES = primes_up_to(1000)
+
+
+def reference_factorize(n: int) -> Factorization:
+    """factorize as it was before it built its result unchecked: the checked
+    Factorization tests every prime again."""
+    counts: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        stack = [n]
+        while stack:
+            v = stack.pop()
+            if v == 1:
+                continue
+            if ntheory.is_prime(v):
+                counts[v] = counts.get(v, 0) + 1
+                continue
+            d = _brent_rho(v)
+            stack.append(d)
+            stack.append(v // d)
+    return Factorization(tuple(sorted(counts.items())))
+
+
+def test_factorize_equals_its_reference(monkeypatch):
+    # below 5*10^4 factorize gives the prime factorization, which the least
+    # prime factor of each n spells out; the reference runs on a sample
+    # below 2*10^5, on seeded n below 2^62 (and on the rho paths, below).
+    # A memo of is_prime changes no answer and halves the time of the sweep
+    monkeypatch.setattr(ntheory, "is_prime", functools.cache(is_prime))
+    n_max = 5 * 10**4
+    least = list(range(n_max))
+    for p in reversed(primes_up_to(math.isqrt(n_max))):  # the least prime is written last
+        least[p * p :: p] = [p] * len(range(p * p, n_max, p))
+
+    def sieve_factors(n):
+        factors = []
+        while n > 1:
+            p, e = least[n], 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        return tuple(factors)
+
+    swept = list(map(factorize, range(1, n_max)))
+    assert [f.factors for f in swept] == list(map(sieve_factors, range(1, n_max)))
+    assert {type(f) for f in swept} == {Factorization}
+    rng = random.Random(21)
+    sample = [rng.randrange(1, 2 * 10**5) for _ in range(2000)]
+    sample += [rng.randrange(1, 2 ** rng.randrange(1, 63)) for _ in range(200)]
+    assert list(map(factorize, sample)) == list(map(reference_factorize, sample))
+
+
 def test_factorize_rho_paths():
     # everything here is past trial division, so rho splits it.  When the
     # batched gcd reaches n (prime squares often do this), rho backtracks
@@ -113,7 +173,7 @@ def test_factorize_rho_paths():
         assert 1 < d < n and n % d == 0, (primes, d)
         f = factorize(n)
         assert f.factors == tuple(sorted(Counter(primes).items())), primes
-        assert Factorization(f.factors) == f
+        assert Factorization(f.factors) == f == reference_factorize(n)
 
 
 def test_factorization_validates():

@@ -95,16 +95,16 @@ def test_import_loads_no_dataclasses_or_fractions():
 
 def test_import_compiles_no_cache_line_pattern():
     # compiling the pattern the cache reader matches lines with costs about
-    # 1 ms, which only a sweep that loads a cache should pay
+    # 0.3-0.5 ms, which only a sweep that loads a cache should pay
     import_root = Path(modhull.__path__[0]).resolve().parent
     probe = (
         "import os, sys\n"
         f"sys.path.insert(0, {str(import_root)!r})\n"
         "import modhull, modhull.cli\n"
         "from modhull import experiments\n"
-        "print(experiments._line_reader.cache_info().currsize)\n"
+        "print(experiments._line_pattern.cache_info().currsize)\n"
         "experiments._load_cache(os.devnull, 3, 4)\n"
-        "print(experiments._line_reader.cache_info().currsize)\n"
+        "print(experiments._line_pattern.cache_info().currsize)\n"
     )
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0", "1"]  # compiled on the first load, not at import
