@@ -18,6 +18,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .hyperbola import ENUMERATION_CEILING, Point
+from .ntheory import _Checked
 
 __all__ = [
     "InfiniteFamily",
@@ -156,7 +157,7 @@ class _ConicForm(NamedTuple):
     F: int
 
 
-class ConicForm(_ConicForm):
+class ConicForm(_Checked, _ConicForm):
     """Primitive integer quadratic form A X^2 + B XY + C Y^2 + D X + E Y + F.
 
     Coefficients are divided by their gcd at construction; the all-zero
@@ -173,10 +174,6 @@ class ConicForm(_ConicForm):
         if g > 1:
             coeffs = tuple(v // g for v in coeffs)
         return tuple.__new__(cls, coeffs)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
     @property
     def coeffs(self) -> tuple[int, int, int, int, int, int]:

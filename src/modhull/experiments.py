@@ -34,7 +34,7 @@ from ._version import __version__
 from .geometry import convex_hull
 from .hullfast import candidate_points, hull_method
 from .hyperbola import HyperbolaSpec
-from .ntheory import factorize
+from .ntheory import Factorization, _Checked, factorize
 
 __all__ = [
     "CACHE_ENV",
@@ -97,7 +97,7 @@ class _APolicy(NamedTuple):
     seed: int
 
 
-class APolicy(_APolicy):
+class APolicy(_Checked, _APolicy):
     """Which residues a to visit per modulus: a=1 only, all units, or a
     seeded sample of k distinct units."""
 
@@ -109,10 +109,6 @@ class APolicy(_APolicy):
         if kind == "sample" and k < 1:
             raise ValueError("sample policy needs k >= 1")
         return tuple.__new__(cls, (kind, k, seed))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "APolicy":
@@ -211,14 +207,24 @@ _LINE_FORMAT = "%d %d %d %d %d " + __version__
 _LINE_VALUES = itemgetter(*map(CSV_COLUMNS.index, ("m", "a", "v", "candidate_count", "elapsed_ns")))
 
 
+@lru_cache(maxsize=2)
+def _factorize(n: int) -> Factorization:
+    # _modulus_stats factorizes m - 1, then m: over moduli in increasing
+    # order the m of one modulus is the m - 1 of the next, and a modulus
+    # that a cache block repeats from the one before finds both.  In the
+    # other order m would be the older entry, dropped before it is asked for.
+    return factorize(n)
+
+
 def _modulus_stats(m: int) -> tuple:
     """The columns of a record of modulus m that do not depend on a or v:
     phi(m), tau(m - 1), the kernel of m, t, squarefree and method, then
     log m and t*m^(5/12), the divisors of exponent and norm512."""
-    f = factorize(m)
+    tau_m_minus_1 = _factorize(m - 1).tau
+    f = _factorize(m)
     kernel = f.kernel
     t = m // kernel
-    return f.phi, factorize(m - 1).tau, kernel, t, kernel == m, hull_method(m), math.log(m), t * m ** (5.0 / 12.0)
+    return f.phi, tau_m_minus_1, kernel, t, kernel == m, hull_method(m), math.log(m), t * m ** (5.0 / 12.0)
 
 
 # compute_record's: a sweep computes the residues of one modulus in a row
@@ -268,9 +274,10 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
 
     The file is read in blocks of whole lines, each matched by one findall,
     so memory stays flat however long the file.  The columns of a modulus
-    are derived once per block that holds it: m and m - 1 are factorized
-    then, so a replay pays more per record the fewer records a modulus has
-    (one, with --a-policy one)."""
+    are derived once per block that holds it, in increasing order of m,
+    from the factorizations of m and m - 1 (see _factorize), so a replay
+    pays more per record the fewer records a modulus has (one, with
+    --a-policy one)."""
     out: dict[tuple[int, int], SweepRecord] = {}
     try:
         fh = open(path, "rb")
@@ -283,7 +290,7 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
             rows = findall(block + fh.readline())  # the block ends with a whole line
             if rows := list(compress(rows, map(in_range, map(int, map(_FIRST, rows))))):
                 m, a, *rest = (list(map(int, column)) for column in zip(*rows))
-                stats = {k: _modulus_stats(k) for k in set(m)}  # once per modulus, however the lines are ordered
+                stats = {k: _modulus_stats(k) for k in sorted(set(m))}  # once per modulus, in increasing order
                 out.update(zip(zip(m, a), map(_record, m, a, *rest, map(stats.__getitem__, m))))
     return out
 

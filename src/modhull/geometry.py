@@ -14,7 +14,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .hyperbola import Point
-from .ntheory import ext_gcd
+from .ntheory import _Checked, ext_gcd
 
 __all__ = [
     "DegenerateInput",
@@ -47,7 +47,7 @@ class _ConvexPolygon(NamedTuple):
     vertices: tuple[Point, ...]
 
 
-class ConvexPolygon(_ConvexPolygon):
+class ConvexPolygon(_Checked, _ConvexPolygon):
     """A vertex list that is valid exactly when it is the vertex list
     convex_hull returns for these points: nonempty, strictly convex,
     counterclockwise and starting at the lexicographically smallest vertex.
@@ -62,10 +62,6 @@ class ConvexPolygon(_ConvexPolygon):
         if not v or convex_hull(v).vertices != v:
             raise ValueError("vertices must be strictly convex counterclockwise from the lexicographic minimum")
         return tuple.__new__(cls, (v,))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
     @property
     def vertex_count(self) -> int:
@@ -229,7 +225,7 @@ class _UnimodularMap(NamedTuple):
     ty: int
 
 
-class UnimodularMap(_UnimodularMap):
+class UnimodularMap(_Checked, _UnimodularMap):
     """Affine map (x, y) -> (a x + b y + tx, c x + d y + ty) with det(a d - b c) = +-1.
 
     Such maps permute the integer lattice, so they preserve lattice hulls,
@@ -243,10 +239,6 @@ class UnimodularMap(_UnimodularMap):
         if det not in (1, -1):
             raise ValueError(f"determinant must be +-1, got {det}")
         return tuple.__new__(cls, (a, b, c, d, tx, ty))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
     @property
     def det(self) -> int:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ntheory import batch_mod_inv, factorize
+from .ntheory import _Checked, batch_mod_inv, factorize
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,7 +62,7 @@ class _HyperbolaSpec(NamedTuple):
     a: int
 
 
-class HyperbolaSpec(_HyperbolaSpec):
+class HyperbolaSpec(_Checked, _HyperbolaSpec):
     """Modulus m and residue a, with a reduced into [1, m-1] and gcd(a, m) = 1."""
 
     __slots__ = ()
@@ -74,10 +74,6 @@ class HyperbolaSpec(_HyperbolaSpec):
         if math.gcd(r, m) != 1:
             raise ValueError(f"residue {a} is not coprime to {m}")
         return tuple.__new__(cls, (m, r))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
 
 def _unit_inverses(m: int, upper: int) -> Iterator[tuple[list[int], list[int]]]:

@@ -140,11 +140,24 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable in practice
 
 
+class _Checked:
+    """The first base of each validated value type: a subclass of a
+    NamedTuple that checks and normalises its fields in its own __new__.
+    NamedTuple's _make, which _replace builds through, bypasses __new__;
+    this one calls the class, so every way of building a value checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _Factorization(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
 
-class Factorization(_Factorization):
+class Factorization(_Checked, _Factorization):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     The empty tuple represents 1.  Every prime is checked, except in the
@@ -163,10 +176,6 @@ class Factorization(_Factorization):
                 raise ValueError(f"{p} is not prime")
             prev = p
         return tuple.__new__(cls, (factors,))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: both check
-        return cls(*iterable)
 
     @property
     def n(self) -> int:

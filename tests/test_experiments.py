@@ -311,7 +311,7 @@ def test_pyproject_version_is_the_cache_version():
         assert tomllib.load(fh)["project"]["version"] == __version__
 
 
-def test_sweep_factors_each_modulus_once(monkeypatch):
+def test_sweep_factors_each_modulus_once(monkeypatch, tmp_path):
     calls = []
     real = ntheory.factorize
 
@@ -319,14 +319,20 @@ def test_sweep_factors_each_modulus_once(monkeypatch):
         calls.append(n)
         return real(n)
 
-    # compute_record factors m and m - 1 through experiments' binding; the
-    # one in ntheory is patched too, so a factorization made inside ntheory
-    # (divisors of an int) would be counted as well
+    # the columns of a modulus need m and m - 1 factored, through
+    # experiments' binding; the one in ntheory is patched too, so a
+    # factorization made inside ntheory (divisors of an int) would be
+    # counted as well
     monkeypatch.setattr(ntheory, "factorize", counting)
     monkeypatch.setattr(experiments, "factorize", counting)
-    records = run_sweep(3, 40, APolicy("all"))
-    assert len(records) == sum(len(APolicy("all").a_values(m)) for m in range(3, 41))
-    assert len(calls) <= 2 * len(range(3, 41))
+    cache = tmp_path / "cache.txt"
+    for run in ("cold", "warm"):
+        experiments._factorize.cache_clear()
+        experiments._last_modulus_stats.cache_clear()
+        calls.clear()
+        records = run_sweep(3, 40, APolicy("all"), cache_file=cache)
+        assert len(records) == sum(len(APolicy("all").a_values(m)) for m in range(3, 41))
+        assert sorted(calls) == list(range(2, 41)), run  # each of m_min - 1, ..., m_max once
 
 
 def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):

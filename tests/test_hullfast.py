@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -350,6 +351,60 @@ def test_fast_equals_naive_at_large_moduli():
             a = rng.randrange(1, m)
         spec = HyperbolaSpec(m, a)
         assert fast_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
+
+
+def _staircase(m: int, a: int) -> list[Point]:
+    """The lower-left staircase of H_a(m), its Pareto minima, with their
+    sigma-images, where sigma(x, y) = (y, x).
+
+    The units x are scanned upward with y = a*x^-1 mod m, and each new
+    strict minimum of y is kept (Kung, Luccio and Preparata, JACM 22(4),
+    1975).  H_a(m) is sigma-symmetric, as xy = yx, and so is its staircase.
+    Once x passes the running minimum lo, a later staircase point (x', y')
+    has y' < lo < x', so its sigma-image (y', x') has the smaller x and was
+    found already.  So the scan stops there, and the images are added.
+    """
+    found, lo = [], m
+    for x in range(1, m):
+        if x > lo:
+            break
+        if math.gcd(x, m) == 1 and (y := a * pow(x, -1, m) % m) < lo:
+            lo = y
+            found.append((x, y))
+    return found + [(y, x) for x, y in found]
+
+
+def staircase_hull(spec: HyperbolaSpec) -> ConvexPolygon:
+    """The hull of H_a(m) from its four staircases, with no enumeration,
+    factoring or certificate: an exact oracle up to MODULUS_CEILING.
+
+    The hull's vertices lie on the staircases (see convex_hull).  The
+    lower-right one is the lower-left staircase of H_{m-a}(m) in
+    u = m - x, as x*y = a mod m exactly when (m - x)*y = m - a.  The half
+    turn (x, y) -> (m - x, m - y) maps H_a(m) onto itself and the lower
+    staircases onto the upper ones.  The union is hulled on the general
+    path, not by the half-turn symmetry the package's hulls use.
+    """
+    m, a = spec
+    lower = _staircase(m, a) + [(m - u, y) for u, y in _staircase(m, m - a)]
+    return convex_hull(lower + [(m - x, m - y) for x, y in lower])
+
+
+def test_staircase_hull_equals_the_hull_of_every_point():
+    for m in range(3, 200):
+        for a in (a for a in range(1, m) if math.gcd(a, m) == 1):
+            spec = HyperbolaSpec(m, a)
+            assert staircase_hull(spec) == convex_hull(enumerate_points(spec)), (m, a)
+
+
+def test_fast_hull_equals_the_staircase_oracle_up_to_the_ceiling():
+    # above ENUMERATION_CEILING, enumerate_points refuses the modulus; the
+    # staircase walk scans a few times sqrt(m) units
+    rng = random.Random(22)
+    top = [(m, a) for m in (2**31 - 1, 2**31) for a in (1, m - 1, rng.randrange(1, m, 2))]
+    for m, a in [*itertools.islice(_seeded_pairs(22), 40), *top]:
+        spec = HyperbolaSpec(m, a)
+        assert fast_hull(spec) == staircase_hull(spec), (m, a)
 
 
 def test_certified_search_never_enumerates(monkeypatch):

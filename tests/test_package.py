@@ -1,11 +1,15 @@
-"""The package's value types and what importing it costs.
+"""The package's value types, the names it exports and what importing it
+costs.
 
 Each validated type is a NamedTuple whose subclass checks and normalises in
 __new__; every way of building one (positional, keyword, _make, _replace,
-unpickling) must run those checks.
+unpickling) must run those checks.  The package exports every name in the
+__all__ of each library module.
 """
 
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +77,17 @@ def test_validated_types_normalise_and_print_as_before():
     for value in values:
         with pytest.raises(AttributeError):
             setattr(value, type(value)._fields[0], None)
+
+
+# every module but the command line, which the package does not import
+LIBRARY_MODULES = sorted(m.name for m in pkgutil.iter_modules(modhull.__path__) if m.name not in ("_version", "cli"))
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_package_exports_each_module_api(module):
+    mod = importlib.import_module(f"modhull.{module}")
+    missing = [name for name in mod.__all__ if getattr(modhull, name, None) is not getattr(mod, name)]
+    assert not missing, f"modhull does not export modhull.{module}'s {missing}"
 
 
 def test_import_loads_no_dataclasses_or_fractions():
