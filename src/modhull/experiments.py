@@ -4,11 +4,12 @@ append-only cache that keeps every record of interrupted and concurrent sweeps.
 
 One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
 `modhull verify`, and holds the one check of a modulus range.  A record is a
-SweepRecord tuple: its values in column order fill the CSV row.  Its cache
-line holds m, a, v, candidate_count and elapsed_ns and the version; every
-other column depends on m and v alone, and _record rebuilds it, the same for a
-computed record and a replayed one.  run_sweep uses a cache only when it is
-given a cache file.
+SweepRecord tuple: its values in column order fill the CSV row.  A hull
+gives v, candidate_count and elapsed_ns; every other column depends on m and
+v alone.  A cache line holds m, a, those three integers and the version, and
+run_sweep builds every record, computed or replayed, at one call of _record,
+from the three integers and the columns of m, derived once per modulus.
+run_sweep uses a cache only when it is given a cache file.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -57,11 +58,13 @@ CACHE_ENV = "MODHULL_CACHE_DIR"
 
 # The most records one sweep may hold, bounded from its arguments before it
 # builds anything (APolicy.max_count).  A sweep holds every record, its
-# task lists, the cache dict and the CSV text at once: `modhull sweep
-# --a-policy all` over m in [3, 300] and [3, 700] (27,396 and 149,016
-# records) peaked at 29.4 and 89.8 MiB RSS cold and 29.3 and 95.2 MiB on
-# the warm replay, under 900 bytes a record, so the ceiling is about the
-# 1.8 GB that ENUMERATION_CEILING allows.  CPython 3.11, 64-bit Linux.
+# task lists, the cache dict of hull columns (each freed as its record is
+# built) and the CSV text at once: `modhull sweep --a-policy all` over m in
+# [3, 300] and [3, 700] (27,396 and 149,016 records) peaked at 29.4 and
+# 91.6 MiB RSS cold and 28.3 and 91.6 MiB on the warm replay, under 650
+# bytes a record, so at the ~900 bytes a record that the refusal names the
+# ceiling is about the 1.8 GB that ENUMERATION_CEILING allows.  CPython
+# 3.11, 64-bit Linux.
 SWEEP_CEILING = 2 * 10**6
 
 _MASK64 = (1 << 64) - 1
@@ -153,7 +156,11 @@ class APolicy(_Checked, _APolicy):
 def sample_coprime(m: int, k: int, seed: int) -> list[int]:
     """k distinct units mod m, deterministic in (m, k, seed), sorted; all
     phi(m) of them when k >= phi(m)."""
-    k = min(k, factorize(m).phi)  # no draws are spent once every unit is held
+    # phi(n) >= sqrt(n/2) for n >= 1: the factor 2^e of n gives
+    # 2^(e-1) >= 2^(e/2)/sqrt(2), and each odd p^e gives p^(e-1)*(p-1) >=
+    # p^(e/2).  So 2*k*k <= m means k <= phi(m), and m need not be factorized.
+    if 2 * k * k > m:
+        k = min(k, factorize(m).phi)  # no draws are spent once every unit is held
     rng = SplitMix64(_mix64(seed) ^ _mix64(m))
     chosen: set[int] = set()
     attempts = 0
@@ -172,8 +179,8 @@ def sample_coprime(m: int, k: int, seed: int) -> list[int]:
 
 class SweepRecord(NamedTuple):
     """One sweep record.  The field declarations are the whole schema: the
-    CSV columns, the CSV row format and the types a cache line must have.
-    The record is the tuple of its values, in column order."""
+    CSV columns and the CSV row format.  The record is the tuple of its
+    values, in column order."""
 
     m: int
     a: int
@@ -189,33 +196,27 @@ class SweepRecord(NamedTuple):
     candidate_count: int
     elapsed_ns: int
 
-    def csv_row(self) -> str:
-        return _ROW_FORMAT % self
-
-    def cache_line(self) -> str:
-        """"m a v candidate_count elapsed_ns version", one space apart: the
-        columns a hull gives, then the version, last so that a line torn
-        short of its end never matches.  _record rebuilds the rest."""
-        return _LINE_FORMAT % _LINE_VALUES(self)
-
 
 CSV_COLUMNS = SweepRecord._fields
 _FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
 # booleans print as 0/1 and reals to six significant digits
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
-_LINE_FORMAT = "%d %d %d %d %d " + __version__
-_LINE_VALUES = itemgetter(*map(CSV_COLUMNS.index, ("m", "a", "v", "candidate_count", "elapsed_ns")))
+# a cache line, "m a v candidate_count elapsed_ns version\n", one space apart:
+# the columns a hull gives, then the version, last so that a line torn short
+# of its end never matches _line_pattern
+_LINE_FORMAT = b"%d %d %d %d %d " + __version__.encode() + b"\n"
 
 
 @lru_cache(maxsize=2)
 def _factorize(n: int) -> Factorization:
     # _modulus_stats factorizes m - 1, then m: over moduli in increasing
-    # order the m of one modulus is the m - 1 of the next, and a modulus
-    # that a cache block repeats from the one before finds both.  In the
-    # other order m would be the older entry, dropped before it is asked for.
+    # order, as a sweep and the census visit them, the m of one modulus is
+    # the m - 1 of the next.  In the other order m would be the older entry,
+    # dropped before it is asked for.
     return factorize(n)
 
 
+@lru_cache(maxsize=1)  # the records of one modulus are built in a row
 def _modulus_stats(m: int) -> tuple:
     """The columns of a record of modulus m that do not depend on a or v:
     phi(m), tau(m - 1), the kernel of m, t, squarefree and method, then
@@ -227,14 +228,12 @@ def _modulus_stats(m: int) -> tuple:
     return f.phi, tau_m_minus_1, kernel, t, kernel == m, hull_method(m), math.log(m), t * m ** (5.0 / 12.0)
 
 
-# compute_record's: a sweep computes the residues of one modulus in a row
-_last_modulus_stats = lru_cache(maxsize=1)(_modulus_stats)
-
-
-def _record(m: int, a: int, v: int, candidate_count: int, elapsed_ns: int, stats: tuple) -> SweepRecord:
-    """The record of (m, a) whose hull has v vertices, given
-    _modulus_stats(m): every other column depends on m and v alone."""
-    phi, tau_m_minus_1, kernel, t, squarefree, method, log_m, t_m512 = stats
+def _record(m: int, a: int, hull: tuple[int, int, int]) -> SweepRecord:
+    """The record of (m, a) whose hull gave (v, candidate_count, elapsed_ns):
+    every other column depends on m and v alone, and _modulus_stats derives
+    those of m once for the records of m built in a row."""
+    v, candidate_count, elapsed_ns = hull
+    phi, tau_m_minus_1, kernel, t, squarefree, method, log_m, t_m512 = _modulus_stats(m)
     exponent = math.log(v) / log_m if v > 1 else 0.0
     # SweepRecord(...) without the keyword handling of its __new__
     return tuple.__new__(
@@ -243,14 +242,20 @@ def _record(m: int, a: int, v: int, candidate_count: int, elapsed_ns: int, stats
     )
 
 
-def compute_record(m: int, a: int) -> SweepRecord:
-    """One sweep record: hull vertex count plus the arithmetic statistics of m."""
+def _hull(m: int, a: int) -> tuple[int, int, int]:
+    """The columns a hull of H_a(m) gives: v, candidate_count and
+    elapsed_ns.  Module-level, so that a worker process can run it."""
     spec = HyperbolaSpec(m, a)
     start = time.perf_counter_ns()
     cands = candidate_points(spec)
     poly = convex_hull(cands, mirror=m)  # see candidate_points
-    elapsed = time.perf_counter_ns() - start
-    return _record(m, spec.a, poly.vertex_count, len(cands), elapsed, _last_modulus_stats(m))
+    return poly.vertex_count, len(cands), time.perf_counter_ns() - start
+
+
+def compute_record(m: int, a: int) -> SweepRecord:
+    """One sweep record: hull vertex count plus the arithmetic statistics of m."""
+    hull = _hull(m, a)  # refuses a bad (m, a) before a % m is taken
+    return _record(m, a % m, hull)
 
 
 # --- cache: one line per record, appended as each record is computed ---
@@ -260,25 +265,21 @@ def default_cache_file() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.txt"
 
 
-def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], SweepRecord]:
-    """The records of this version with m in [m_min, m_max] in the cache
-    file, keyed by (m, a).  A line replays when it is spelled as cache_line
-    spells a record: five decimal integers without leading zeros, of at most
-    19 digits, m, a, v and candidate_count at least 1, then this version,
-    one space apart.  Every line cache_line writes replays to the record
-    that wrote it.  Any other line is skipped and its record computed again:
-    a torn line, one of another version, and also other spacing or a CRLF
-    line end.  A line of another modulus is passed over before its other
-    integers are read.  Of two lines with one key the later wins.  A missing
-    file is an empty cache.
+def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The hull columns (v, candidate_count, elapsed_ns) of this version with
+    m in [m_min, m_max] in the cache file, keyed by (m, a).  A line replays
+    when it is spelled as _LINE_FORMAT spells it: five decimal integers
+    without leading zeros, of at most 19 digits, m, a, v and candidate_count
+    at least 1, then this version, one space apart.  Every line run_sweep
+    writes replays to the integers that wrote it.  Any other line is skipped
+    and its hull computed again: a torn line, one of another version, and
+    also other spacing or a CRLF line end.  A line of another modulus is
+    passed over before its other integers are read.  Of two lines with one
+    key the later wins.  A missing file is an empty cache.
 
     The file is read in blocks of whole lines, each matched by one findall,
-    so memory stays flat however long the file.  The columns of a modulus
-    are derived once per block that holds it, in increasing order of m,
-    from the factorizations of m and m - 1 (see _factorize), so a replay
-    pays more per record the fewer records a modulus has (one, with
-    --a-policy one)."""
-    out: dict[tuple[int, int], SweepRecord] = {}
+    so memory stays flat however long the file."""
+    out: dict[tuple[int, int], tuple[int, int, int]] = {}
     try:
         fh = open(path, "rb")
     except FileNotFoundError:  # also when it is removed while a sweep starts
@@ -289,9 +290,8 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], Swe
         while block := fh.read(_BLOCK_BYTES):
             rows = findall(block + fh.readline())  # the block ends with a whole line
             if rows := list(compress(rows, map(in_range, map(int, map(_FIRST, rows))))):
-                m, a, *rest = (list(map(int, column)) for column in zip(*rows))
-                stats = {k: _modulus_stats(k) for k in sorted(set(m))}  # once per modulus, in increasing order
-                out.update(zip(zip(m, a), map(_record, m, a, *rest, map(stats.__getitem__, m))))
+                m, a, *hull = (map(int, column) for column in zip(*rows))
+                out.update(zip(zip(m, a), zip(*hull)))
     return out
 
 
@@ -335,19 +335,21 @@ def run_sweep(
     the cache as it arrives, so an interrupted sweep keeps what it computed.
 
     A missing (m, a) with m - a < a whose partner (m, m - a) is cached or
-    among the sweep's tasks is not hulled: its record is the partner's with
-    a replaced.  The lattice map (x, y) -> (x, m - y), of determinant -1,
-    carries H_a(m) onto H_{m-a}(m), since x*(m - y) = -a mod m, and the hull
-    of the one onto the hull of the other, so v is the same.  So is
-    candidate_count: below ENUMERATE_BELOW both hull all phi(m) points, and
-    above it _corner_points walks the progressions a + m*l and (m - a) + m*l
-    for both residues, with their roles swapped, so each round of the one
-    search finds the mirror images of the other's points; f and K are
-    invariant under the map, so both certificates accept in the same round.
-    The other columns depend on m and v alone, and elapsed_ns is the time
-    of the one hull the two records share.  The mirror records are built
-    here, in (m, a) order after their partners, so the serial and the
-    parallel sweep append the same lines.
+    among the sweep's tasks is not hulled: it takes the partner's three
+    hull columns verbatim.  The lattice map (x, y) -> (x, m - y), of
+    determinant -1, carries H_a(m) onto H_{m-a}(m), since x*(m - y) = -a
+    mod m, and the hull of the one onto the hull of the other, so v is the
+    same.  So is candidate_count: below ENUMERATE_BELOW both hull all phi(m)
+    points, and above it _corner_points walks the progressions a + m*l and
+    (m - a) + m*l for both residues, with their roles swapped, so each round
+    of the one search finds the mirror images of the other's points; f and K
+    are invariant under the map, so both certificates accept in the same
+    round.  elapsed_ns is the time of the one hull the two share.  The
+    mirror lines are written here, in (m, a) order after their partners, so
+    the serial and the parallel sweep append the same lines.
+
+    Every record is built at the end, in (m, a) order, from its hull's
+    three integers and the columns of m, derived once per modulus.
     """
     walk = policy.tasks(m_min, m_max)
     if workers < 1:
@@ -369,21 +371,21 @@ def run_sweep(
 
                 pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
                 stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
-                computed = pool.map(compute_record, *columns, chunksize=8)
+                computed = pool.map(_hull, *columns, chunksize=8)
             else:
-                computed = map(compute_record, *columns)
+                computed = map(_hull, *columns)
             out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
             for m, a in missing:  # in (m, a) order: a mirror follows its partner
-                rec = SweepRecord(m, a, *cache[m, m - a][2:]) if (m, a) in mirrored else next(computed)
-                cache[m, a] = rec
+                hull = cache[m, a] = cache[m, m - a] if (m, a) in mirrored else next(computed)
                 if out is not None:
-                    out.write(rec.cache_line().encode("ascii") + b"\n")
-    return [cache[task] for task in tasks]  # the tasks are in (m, a) order
+                    out.write(_LINE_FORMAT % (m, a, *hull))
+    # popped: each hull's columns are freed as its record is built
+    return [_record(m, a, cache.pop((m, a))) for m, a in tasks]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(rec.csv_row() for rec in records)
+    lines.extend(_ROW_FORMAT % rec for rec in records)
     return "\n".join(lines) + "\n"
 
 

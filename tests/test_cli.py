@@ -189,11 +189,12 @@ def test_count_refuses_box_beyond_ceiling(capsys, monkeypatch):
 
 def test_range_past_the_modulus_ceiling_is_refused_first(tmp_path, capsys, monkeypatch):
     # sweep and census compute no record, and write no cache or CSV;
-    # verify reports this before its enumeration ceiling
+    # verify reports this before its enumeration ceiling; compute_record
+    # hulls through _hull too
     def compute(m, a):
         raise AssertionError(f"record computed for ({m}, {a})")
 
-    monkeypatch.setattr(experiments, "compute_record", compute)
+    monkeypatch.setattr(experiments, "_hull", compute)
     monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
     span = ["--m-min", "2147483647", "--m-max", "2147483649"]
     for argv in (
@@ -273,8 +274,8 @@ def test_sweep_leaves_a_json_lines_cache_alone(tmp_path, capsys, monkeypatch):
     old.write_text("".join(lines))
     before = old.read_bytes()
     computed = []
-    real = experiments.compute_record
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append((m, a)) or real(m, a))
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: computed.append((m, a)) or real(m, a))
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.csv"))
     assert (code, err) == (0, "") and out == cold.replace("cold.csv", "r.csv")
     assert old.read_bytes() == before and len(computed) == len(records) // 2

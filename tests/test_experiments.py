@@ -87,6 +87,35 @@ def test_sample_coprime_stops_drawing_once_every_unit_is_chosen(monkeypatch, m, 
     assert sample_coprime(m, k, 0) == APolicy("all").a_values(m)
 
 
+def _sample_coprime_factorizing(m, k, seed):
+    """sample_coprime as it was before it skipped factorizing m when
+    2*k*k <= m: the reference it must equal."""
+    k = min(k, factorize(m).phi)
+    rng = SplitMix64(experiments._mix64(seed) ^ experiments._mix64(m))
+    chosen = set()
+    attempts = 0
+    while len(chosen) < k and attempts < 64 * (k + 1):
+        a = 1 + rng.below(m - 1) if m > 2 else 1
+        attempts += 1
+        if math.gcd(a, m) == 1:
+            chosen.add(a)
+    a = 1
+    while len(chosen) < k and a < m:
+        if math.gcd(a, m) == 1:
+            chosen.add(a)
+        a += 1
+    return sorted(chosen)
+
+
+def test_sample_coprime_equals_its_factorizing_reference():
+    rng = random.Random(2401)
+    cases = [(m, k, rng.randrange(2**64)) for m in range(2, 200) for k in (1, 2, 5, 9, 10, 11, 40)]
+    cases += [(rng.randrange(2, 10**6), rng.randrange(1, 1000), rng.randrange(2**64)) for _ in range(300)]
+    assert any(2 * k * k > m for m, k, _ in cases) and any(2 * k * k <= m for m, k, _ in cases)
+    for m, k, seed in cases:
+        assert sample_coprime(m, k, seed) == _sample_coprime_factorizing(m, k, seed), (m, k, seed)
+
+
 def test_sweep_example_values(tmp_path):
     records = run_sweep(3, 7, APolicy("one"), cache_file=tmp_path / "c.txt")
     assert [r.v for r in records] == [2, 2, 4, 2, 6]
@@ -133,9 +162,9 @@ def test_csv_schema_and_formatting(tmp_path):
         m=7, a=1, v=1, phi=6, tau_m_minus_1=4, kernel=7, t=1, squarefree=True, exponent=0.0,
         norm512=1.2345678e-07, method="naive", candidate_count=6, elapsed_ns=1500,
     )
-    assert rec.csv_row() == "7,1,1,6,4,7,1,1,0,1.23457e-07,naive,6,1500"
+    assert records_to_csv([rec]).split("\n")[1] == "7,1,1,6,4,7,1,1,0,1.23457e-07,naive,6,1500"
     rec = rec._replace(m=12, squarefree=False, exponent=math.log(6) / math.log(7), norm512=math.pi * 1e8)
-    assert rec.csv_row() == "12,1,1,6,4,7,1,0,0.920782,3.14159e+08,naive,6,1500"
+    assert records_to_csv([rec]).split("\n")[1] == "12,1,1,6,4,7,1,0,0.920782,3.14159e+08,naive,6,1500"
 
 
 def test_sweep_determinism_with_cache(tmp_path):
@@ -175,9 +204,14 @@ CACHE_LINE_7_3 = f"7 3 6 6 1500 {__version__}"
 CACHE_LINE_1000_1 = f"1000 1 14 26 1500 {__version__}"
 
 
+def _hull_columns(rec):
+    """The columns of a record that its hull gives, as a cache line holds them."""
+    return rec.v, rec.candidate_count, rec.elapsed_ns
+
+
 def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
-    real = experiments.compute_record
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: real(m, a)._replace(elapsed_ns=1500))
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: real(m, a)[:2] + (1500,))
     cache = tmp_path / "cache.txt"
     records = run_sweep(7, 7, APolicy("all"), cache_file=cache)
     records += run_sweep(1000, 1000, APolicy("one"), cache_file=cache)
@@ -187,12 +221,16 @@ def test_sweep_cache_lines_keep_their_format(tmp_path, monkeypatch):
     # it, replays to the same record
     old = tmp_path / "old.txt"
     old.write_text(CACHE_LINE_7_3 + "\n" + CACHE_LINE_1000_1 + "\n", encoding="ascii")
-    assert experiments._load_cache(old, 7, 1000) == {(7, 3): records[2], (1000, 1): records[6]}
+    loaded = experiments._load_cache(old, 7, 1000)
+    assert loaded == {(7, 3): _hull_columns(records[2]), (1000, 1): _hull_columns(records[6])}
+    assert [experiments._record(m, a, hull) for (m, a), hull in loaded.items()] == [records[2], records[6]]
+    _forbid_compute(monkeypatch)
+    assert run_sweep(1000, 1000, APolicy("one"), cache_file=old) == [records[6]]
 
 
-def _built(m, a, v, candidate_count, elapsed_ns):
-    """The record _load_cache builds from these five integers."""
-    return experiments._record(m, a, v, candidate_count, elapsed_ns, experiments._modulus_stats(m))
+def _line(m, a, v, candidate_count, elapsed_ns):
+    """The cache line of these five integers, as run_sweep writes it."""
+    return experiments._LINE_FORMAT % (m, a, v, candidate_count, elapsed_ns)
 
 
 # the integers a cache line may hold: at most 19 digits, elapsed_ns from 0
@@ -207,12 +245,11 @@ _COUNTS = st.integers(1, 10**19 - 1)
     )
 )
 def test_cache_lines_load_back_to_their_records(tmp_path_factory, rows):
-    records = [_built(*row) for row in rows]
     path = tmp_path_factory.getbasetemp() / "round-trip.txt"
-    path.write_bytes(b"".join(rec.cache_line().encode("ascii") + b"\n" for rec in records))
-    loaded = experiments._load_cache(path, min(r.m for r in records), max(r.m for r in records))
-    # repr tells -0.0 from 0.0 and True from 1, which == does not
-    assert repr(loaded) == repr({(rec.m, rec.a): rec for rec in records})
+    path.write_bytes(b"".join(_line(*row) for row in rows))
+    loaded = experiments._load_cache(path, min(row[0] for row in rows), max(row[0] for row in rows))
+    # repr tells True from 1, which == does not
+    assert repr(loaded) == repr({row[:2]: row[2:] for row in rows})
 
 
 def test_computed_records_replay_from_their_lines(tmp_path):
@@ -223,49 +260,49 @@ def test_computed_records_replay_from_their_lines(tmp_path):
     tasks = {(m, a) for m in moduli for a in [rng.randrange(1, m)] if math.gcd(a, m) == 1}
     computed = {task: compute_record(*task) for task in sorted(tasks)}
     path = tmp_path / "cache.txt"
-    path.write_bytes(b"".join(rec.cache_line().encode("ascii") + b"\n" for rec in computed.values()))
-    assert repr(experiments._load_cache(path, 2, 2**31)) == repr(computed)
-
-
-def _line(m, v=10):
-    return _built(m, 1, v, 100, 123456).cache_line().encode("ascii") + b"\n"
+    path.write_bytes(b"".join(_line(rec.m, rec.a, *_hull_columns(rec)) for rec in computed.values()))
+    loaded = experiments._load_cache(path, 2, 2**31)
+    # repr tells -0.0 from 0.0 and True from 1, which == does not
+    assert repr({task: experiments._record(*task, hull) for task, hull in loaded.items()}) == repr(computed)
 
 
 def test_cache_replays_across_block_boundaries(tmp_path):
     # every value has a fixed width, so a line changed up to the boundary
     # keeps its length and the boundary stays where it was
-    lines = [_line(m) for m in range(1000, 6000)]
+    lines = [_line(m, 1, 10, 100, 123456) for m in range(1000, 6000)]
     ends = list(itertools.accumulate(map(len, lines)))
     b = next(i for i, end in enumerate(ends) if end >= experiments._BLOCK_BYTES)  # the first block's last line
     assert ends[-1] > 2 * experiments._BLOCK_BYTES
-    lines[b - 1] = _line(9999, v=11)
-    lines[b] = lines[b].replace(b" 123456 ", b" 012345 ")  # not cache_line's spelling
+    lines[b - 1] = _line(9999, 1, 11, 100, 123456)
+    lines[b] = lines[b].replace(b" 123456 ", b" 012345 ")  # not _LINE_FORMAT's spelling
     lines[b + 1] = lines[b + 1].replace(b" 100 ", b"\t100 ")
-    lines[b + 2] = _line(9999, v=12)  # the same key, past the boundary
+    lines[b + 2] = _line(9999, 1, 12, 100, 123456)  # the same key, past the boundary
     lines[-1] = lines[-1][:-4]  # torn by a killed sweep
     path = tmp_path / "cache.txt"
     path.write_bytes(b"".join(lines))
     kept = [m for i, m in enumerate(range(1000, 6000)) if i not in (b - 1, b, b + 1, b + 2, len(lines) - 1)]
-    expected = {(m, 1): _built(m, 1, 10, 100, 123456) for m in kept}
-    expected[9999, 1] = _built(9999, 1, 12, 100, 123456)  # the later line wins
+    expected = {(m, 1): (10, 100, 123456) for m in kept}
+    expected[9999, 1] = (12, 100, 123456)  # the later line wins
     loaded = experiments._load_cache(path, 1000, 9999)
     assert list(map(repr, sorted(loaded.items()))) == list(map(repr, sorted(expected.items())))
 
 
 def test_interleaved_cache_lines_derive_each_modulus_once(tmp_path, monkeypatch):
-    # two sweeps appending to one cache at once interleave their lines
-    rows = [(m, a, 4, 8, 1000 + a) for a in range(1, 12) for m in (23, 29)]
-    path = tmp_path / "cache.txt"
-    path.write_bytes(b"".join(_built(*row).cache_line().encode("ascii") + b"\n" for row in rows))
-    expected = {row[:2]: _built(*row) for row in rows}
-    derived = []
-    real = experiments._modulus_stats
-    monkeypatch.setattr(experiments, "_modulus_stats", lambda m: derived.append(m) or real(m))
-    assert experiments._load_cache(path, 2, 100) == expected
-    assert sorted(derived) == [23, 29]
+    # two sweeps appending to one cache at once interleave their lines: the
+    # warm sweep derives the columns of each modulus once, in task order
+    cache = tmp_path / "cache.txt"
+    cold = run_sweep(23, 24, APolicy("all"), cache_file=cache)
+    lines = cache.read_bytes().splitlines(keepends=True)
+    lines.sort(key=lambda line: (int(line.split()[1]), int(line.split()[0])))  # by a, then m
+    assert [line[:5] for line in lines[:3]] == [b"23 1 ", b"24 1 ", b"23 2 "]
+    cache.write_bytes(b"".join(lines))
+    _forbid_compute(monkeypatch)
+    experiments._modulus_stats.cache_clear()
+    assert run_sweep(23, 24, APolicy("all"), cache_file=cache) == cold
+    assert experiments._modulus_stats.cache_info().misses == 2
 
 
-# damage to the cache line of (11, 1): each one is not cache_line's spelling
+# damage to the cache line of (11, 1): each one is not _LINE_FORMAT's spelling
 _DAMAGE = {
     "leading zero": lambda line: b"0" + line,
     "20-digit integer": lambda line: re.sub(rb"^(\d+ \d+ \d+ \d+) \d+", rb"\1 1" + b"0" * 19, line),
@@ -287,8 +324,8 @@ def test_damaged_cache_line_is_recomputed(tmp_path, monkeypatch, damage):
     cache.write_bytes(b"\n".join([lines[0], _DAMAGE[damage](lines[1]), *lines[2:]]))
     assert list(experiments._load_cache(cache, 10, 12)) == [(10, 1), (12, 1)]
     computed = []
-    real = experiments.compute_record
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append(m) or real(m, a))
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: computed.append(m) or real(m, a))
     warm = run_sweep(10, 12, APolicy("one"), cache_file=cache)
     assert computed == [11] and warm[::2] == cold[::2] and _masked(warm) == _masked(cold)
 
@@ -300,7 +337,9 @@ def test_sweep_computes_when_its_cache_file_is_missing(tmp_path, monkeypatch):
     cache = tmp_path / "gone" / "cache.txt"
     records = run_sweep(10, 12, APolicy("one"), cache_file=cache)
     assert _masked(records) == _masked(run_sweep(10, 12, APolicy("one")))
-    assert experiments._load_cache(cache, 10, 12) == {(r.m, r.a): r for r in records}
+    assert experiments._load_cache(cache, 10, 12) == {(r.m, r.a): _hull_columns(r) for r in records}
+    _forbid_compute(monkeypatch)
+    assert run_sweep(10, 12, APolicy("one"), cache_file=cache) == records
 
 
 def test_pyproject_version_is_the_cache_version():
@@ -328,11 +367,24 @@ def test_sweep_factors_each_modulus_once(monkeypatch, tmp_path):
     cache = tmp_path / "cache.txt"
     for run in ("cold", "warm"):
         experiments._factorize.cache_clear()
-        experiments._last_modulus_stats.cache_clear()
+        experiments._modulus_stats.cache_clear()
         calls.clear()
         records = run_sweep(3, 40, APolicy("all"), cache_file=cache)
         assert len(records) == sum(len(APolicy("all").a_values(m)) for m in range(3, 41))
         assert sorted(calls) == list(range(2, 41)), run  # each of m_min - 1, ..., m_max once
+
+
+def test_sample_sweep_factors_each_modulus_once(monkeypatch):
+    # listing the residues of sample:5 factorizes no m >= 50 (see
+    # sample_coprime), so the columns of m are the only factorizations the
+    # sweep asks for.  The certified hulls factorize too, through ntheory's
+    # binding, which is not counted
+    calls = []
+    monkeypatch.setattr(experiments, "factorize", lambda n: calls.append(n) or ntheory.factorize(n))
+    experiments._factorize.cache_clear()
+    experiments._modulus_stats.cache_clear()
+    assert len(run_sweep(1000, 1100, APolicy("sample", 5, 7))) == 5 * 101
+    assert sorted(calls) == list(range(999, 1101))
 
 
 def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
@@ -357,23 +409,24 @@ def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
     damaged = [b"not json", b"123", b"null", b'"x"', b"[1]", b"\xff", b""]
     cache.write_bytes(b"\n".join(damaged + lines) + b'{"key": [1]}\n')
     computed = []
-    real = experiments.compute_record
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: computed.append(m) or real(m, a))
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: computed.append(m) or real(m, a))
     r2 = run_sweep(10, 17, APolicy("one"), cache_file=cache)
     assert [(r.m, r.a, r.v) for r in r1] == [(r.m, r.a, r.v) for r in r2]
     assert computed == [12, 13, 14, 15, 16, 17] and r2[:2] == r1[:2]
 
 
 def _forbid_compute(monkeypatch):
+    # compute_record hulls through _hull too
     def fail(m, a):
         raise AssertionError(f"record ({m}, {a}) was recomputed")
 
-    monkeypatch.setattr(experiments, "compute_record", fail)
+    monkeypatch.setattr(experiments, "_hull", fail)
 
 
 def test_warm_sweep_builds_only_its_own_records(tmp_path, monkeypatch):
     # a cache line of another version, or with m outside the sweep's range,
-    # is passed over before a SweepRecord is built from it
+    # is passed over: only the sweep's own records are built
     cache = tmp_path / "cache.txt"
     wide = run_sweep(3, 30, APolicy("one"), cache_file=cache)
     lines = cache.read_bytes().splitlines(keepends=True)  # m = 3, ..., 30
@@ -431,26 +484,26 @@ def test_sweep_appends_after_torn_last_line(tmp_path, monkeypatch):
 
 def test_interrupted_sweep_keeps_computed_records(tmp_path, monkeypatch):
     cache = tmp_path / "cache.txt"
-    real = experiments.compute_record
+    real = experiments._hull
     done = []
 
-    def compute_ten(m, a):
+    def hull_ten(m, a):
         if len(done) == 10:
             raise KeyboardInterrupt
-        done.append(real(m, a))
-        return done[-1]
+        done.append(((m, a), real(m, a)))
+        return done[-1][1]
 
-    monkeypatch.setattr(experiments, "compute_record", compute_ten)
+    monkeypatch.setattr(experiments, "_hull", hull_ten)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(3, 60, APolicy("one"), cache_file=cache)
-    assert experiments._load_cache(cache, 3, 60) == {(r.m, r.a): r for r in done}
+    assert experiments._load_cache(cache, 3, 60) == dict(done)
 
 
 def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):
     # the first record of the outer sweep runs a whole second sweep into the
     # same cache file: the outer one loaded the cache before the inner one wrote
     cache = tmp_path / "cache.txt"
-    real = experiments.compute_record
+    real = experiments._hull
     inner = []
 
     def compute(m, a):
@@ -459,7 +512,7 @@ def test_overlapping_sweeps_keep_each_others_records(tmp_path, monkeypatch):
             inner[:] = run_sweep(30, 50, APolicy("one"), cache_file=cache)
         return real(m, a)
 
-    monkeypatch.setattr(experiments, "compute_record", compute)
+    monkeypatch.setattr(experiments, "_hull", compute)
     outer = run_sweep(10, 40, APolicy("one"), cache_file=cache)
     _forbid_compute(monkeypatch)
     assert run_sweep(10, 40, APolicy("one"), cache_file=cache) == outer  # later line wins
@@ -530,8 +583,8 @@ def test_all_sweep_matches_records_computed_one_by_one(m_min, m_max):
 
 def test_cold_all_sweep_hulls_each_mirror_pair_once(monkeypatch):
     hulled = []
-    real = experiments.compute_record
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: hulled.append((m, a)) or real(m, a))
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: hulled.append((m, a)) or real(m, a))
     records = run_sweep(3, 60, APolicy("all"))
     assert len(hulled) == sum(factorize(m).phi for m in range(3, 61)) // 2 == len(records) // 2
     assert all(2 * a < m for m, a in hulled)
@@ -553,42 +606,42 @@ def test_interrupted_all_sweep_keeps_its_mirror_records(tmp_path, monkeypatch):
     # the eleventh hull, of (9, 1), is interrupted: the records of m <= 8,
     # ten hulled and ten read off their partners, are all in the cache
     cache = tmp_path / "cache.txt"
-    real = experiments.compute_record
+    real = experiments._hull
     hulled = []
 
-    def compute_ten(m, a):
+    def hull_ten(m, a):
         if len(hulled) == 10:
             raise KeyboardInterrupt
         hulled.append((m, a))
         return real(m, a)
 
-    monkeypatch.setattr(experiments, "compute_record", compute_ten)
+    monkeypatch.setattr(experiments, "_hull", hull_ten)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(3, 30, APolicy("all"), cache_file=cache)
     kept = experiments._load_cache(cache, 3, 30)
     assert list(kept) == list(APolicy("all").tasks(3, 8))
-    assert _masked(kept.values()) == _masked(compute_record(m, a) for m, a in kept)
+    assert [hull[:2] for hull in kept.values()] == [real(m, a)[:2] for m, a in kept]  # elapsed_ns aside
     # a later sweep replays those lines and hulls from (9, 1) on
     hulled.clear()
-    monkeypatch.setattr(experiments, "compute_record", lambda m, a: hulled.append((m, a)) or real(m, a))
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: hulled.append((m, a)) or real(m, a))
     records = run_sweep(3, 30, APolicy("all"), cache_file=cache)
-    assert records[: len(kept)] == list(kept.values())
+    assert list(map(_hull_columns, records[: len(kept)])) == list(kept.values())
     assert hulled[0] == (9, 1) and len(hulled) == (len(records) - len(kept)) // 2
 
 
-_REAL_COMPUTE_RECORD = experiments.compute_record
+_REAL_HULL = experiments._hull
 
 
-def _logged_compute_record(log, m, a):
-    """compute_record, logging each (m, a) to a file the workers share."""
+def _logged_hull(log, m, a):
+    """_hull, logging each (m, a) to a file the workers share."""
     with open(log, "a") as fh:
         fh.write(f"{m} {a}\n")
-    return _REAL_COMPUTE_RECORD(m, a)
+    return _REAL_HULL(m, a)
 
 
 def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
-    # the pool pickles the patched compute_record, a partial of a
-    # module-level function, and the workers run it
+    # the pool pickles the patched _hull, a partial of a module-level
+    # function, and the workers run it
     log = tmp_path / "computed.log"
 
     class FullDisk:
@@ -601,7 +654,7 @@ def test_parallel_sweep_stops_on_a_write_error(tmp_path, monkeypatch):
         def write(self, data):
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(experiments, "compute_record", functools.partial(_logged_compute_record, log))
+    monkeypatch.setattr(experiments, "_hull", functools.partial(_logged_hull, log))
     monkeypatch.setattr(experiments, "_open_for_append", lambda path: FullDisk())
     with pytest.raises(OSError):
         run_sweep(3, 120, APolicy("all"), workers=2, cache_file=tmp_path / "c.txt")
@@ -664,10 +717,7 @@ def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
 
 def test_sweep_and_census_refuse_moduli_past_the_ceiling(tmp_path, monkeypatch):
     # refused at the call, before any record is computed or cached
-    def compute(m, a):
-        raise AssertionError(f"record computed for ({m}, {a})")
-
-    monkeypatch.setattr(experiments, "compute_record", compute)
+    _forbid_compute(monkeypatch)
     message = re.escape("modulus must be in [2, 2**31], got 2147483649")
     for policy in (APolicy("one"), APolicy("sample", k=2)):
         with pytest.raises(ValueError, match=message):

@@ -14,6 +14,8 @@ from modhull.hyperbola import (
     format_points,
     parse_points,
     predicted_count,
+    read_points_file,
+    write_points_file,
 )
 from modhull.ntheory import factorize, mod_inv
 
@@ -135,6 +137,20 @@ def test_point_text_roundtrip():
     for line in ("3 x", "3", "3 4 5", "3 4.0"):
         with pytest.raises(ValueError, match=re.escape(f"line 2: expected two integers, got {line!r}")):
             parse_points(f"1 2\n{line}\n")
+
+
+def test_point_file_roundtrip(tmp_path):
+    pts = tuple(enumerate_points(HyperbolaSpec(13, 5)))
+    path = tmp_path / "points.txt"
+    write_points_file(path, pts)
+    assert path.read_bytes() == format_points(pts).encode("ascii")
+    assert read_points_file(path) == pts
+    # blank lines are skipped; a bad line is named by its number in the file
+    path.write_text("1 2\n\n   \n3 4\n", encoding="ascii")
+    assert read_points_file(path) == ((1, 2), (3, 4))
+    path.write_text("1 2\n\n3 4 5\n", encoding="ascii")
+    with pytest.raises(ValueError, match=re.escape("line 3: expected two integers, got '3 4 5'")):
+        read_points_file(path)
 
 
 def test_enumeration_ceiling_fires_before_allocating(monkeypatch):
