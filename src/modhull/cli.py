@@ -4,10 +4,7 @@ Subcommands: hull, sweep, verify, count, census, conic fit, conic count.
 Run `modhull <subcommand> -h` for flags.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 
 from .conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
@@ -26,20 +23,18 @@ from .hyperbola import ENUMERATION_CEILING, HyperbolaSpec, count_in_box, predict
 
 __all__ = ["main"]
 
+# hull --json's line: the bytes json.dumps gives for a dict of these keys,
+# spelled out so that no command loads json; vertices are "[x, y]" items
+# joined by ", "
+_HULL_JSON = '{"m": %d, "a": %d, "method": "%s", "v": %d, "twice_area": %d, "vertices": [%s]}'
+
 
 def _cmd_hull(args) -> int:
     spec = HyperbolaSpec(args.m, args.a)
     poly = fast_hull(spec)
     if args.json:
-        out = {
-            "m": spec.m,
-            "a": spec.a,
-            "method": hull_method(spec.m),
-            "v": poly.vertex_count,
-            "twice_area": twice_area(poly),
-            "vertices": [list(p) for p in poly.vertices],
-        }
-        print(json.dumps(out))
+        vertices = ", ".join(["[%d, %d]" % p for p in poly.vertices])
+        print(_HULL_JSON % (spec.m, spec.a, hull_method(spec.m), poly.vertex_count, twice_area(poly), vertices))
     else:
         print(f"m={spec.m} a={spec.a} method={hull_method(spec.m)} v={poly.vertex_count}")
         for x, y in poly.vertices:

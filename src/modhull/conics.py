@@ -12,8 +12,6 @@ The counting side is deliberately brute force: it is the desk-scale oracle
 the rest of the package checks sparse-solution claims against.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Sequence
 

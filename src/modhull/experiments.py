@@ -18,8 +18,6 @@ uses an explicit splitmix64 stream so seeds mean the same thing on every
 platform.
 """
 
-from __future__ import annotations
-
 import contextlib
 import math
 import os
@@ -29,7 +27,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, get_type_hints
+from typing import Iterator, NamedTuple
 
 from ._version import __version__
 from .geometry import convex_hull
@@ -198,7 +196,7 @@ class SweepRecord(NamedTuple):
 
 
 CSV_COLUMNS = SweepRecord._fields
-_FIELD_TYPES = tuple(map(get_type_hints(SweepRecord).get, CSV_COLUMNS))
+_FIELD_TYPES = tuple(map(SweepRecord.__annotations__.get, CSV_COLUMNS))
 # booleans print as 0/1 and reals to six significant digits
 _ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
 # a cache line, "m a v candidate_count elapsed_ns version\n", one space apart:

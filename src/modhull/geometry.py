@@ -8,8 +8,6 @@ edge is not a vertex.  Degenerate hulls (a single point, or all points
 collinear) are first-class values with 1 or 2 vertices.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Iterable, NamedTuple, Sequence
 

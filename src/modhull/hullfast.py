@@ -47,8 +47,6 @@ certificate accepts is returned as the hull.
 Small moduli skip the search and hull every point.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from typing import NamedTuple
 

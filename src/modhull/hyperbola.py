@@ -6,8 +6,6 @@ them.  A shared one-point-per-line text format ("x y\\n") is provided for
 interchange with the conic-fitting tools and the CLI.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from functools import lru_cache
@@ -120,7 +118,7 @@ def count_in_box(spec: HyperbolaSpec, U: int, V: int) -> int:
     return sum(1 for _, invs in _unit_inverses(m, U) for inv in invs if a * inv % m <= V)
 
 
-def predicted_count(spec: HyperbolaSpec, U: int, V: int) -> Fraction:
+def predicted_count(spec: HyperbolaSpec, U: int, V: int) -> "Fraction":
     """Main term U*V*phi(m)/m**2 of the box count, as an exact rational.
 
     Uses the same clamping as count_in_box so the two are directly comparable.

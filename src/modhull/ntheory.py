@@ -7,8 +7,6 @@ factoring routine is guaranteed below FACTOR_CEILING (2**63); larger
 inputs are rejected rather than silently mis-factored.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -7,7 +8,7 @@ from modhull import cli, experiments, hullfast, hyperbola
 from modhull._version import __version__
 from modhull.cli import main
 from modhull.experiments import SWEEP_CEILING, APolicy, sample_coprime
-from modhull.geometry import ConvexPolygon, convex_hull
+from modhull.geometry import ConvexPolygon, convex_hull, twice_area
 from modhull.hyperbola import format_points
 
 
@@ -27,12 +28,11 @@ def test_hull_text(capsys):
 
 
 def test_hull_json(capsys):
-    code, out, _ = run_cli(capsys, "hull", "--m", "7", "--a", "1", "--json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["v"] == 6
-    assert obj["twice_area"] == 24
-    assert [1, 1] in obj["vertices"]
+    expected = (
+        '{"m": 7, "a": 1, "method": "naive", "v": 6, "twice_area": 24, '
+        '"vertices": [[1, 1], [4, 2], [5, 3], [6, 6], [3, 5], [2, 4]]}\n'
+    )
+    assert run_cli(capsys, "hull", "--m", "7", "--a", "1", "--json") == (0, expected, "")
 
 
 def test_hull_method_flag(capsys):
@@ -59,6 +59,35 @@ def test_hull_json_at_modulus_ceiling(capsys, m):
         assert all(0 < x < m and 0 < y < m and x * y % m == a for x, y in verts)
         assert {(y, x) for x, y in verts} == set(verts)
         assert {(m - x, m - y) for x, y in verts} == set(verts)
+
+
+def _json_dumps_hull(m, a):
+    """json.dumps of hull --json's dict, built from the library: the
+    reference that the CLI's template must spell byte for byte."""
+    poly = hullfast.fast_hull(hyperbola.HyperbolaSpec(m, a))
+    out = {
+        "m": m,
+        "a": a,
+        "method": hullfast.hull_method(m),
+        "v": poly.vertex_count,
+        "twice_area": twice_area(poly),
+        "vertices": [list(p) for p in poly.vertices],
+    }
+    return json.dumps(out) + "\n"
+
+
+def test_hull_json_spells_what_json_dumps_wrote(capsys):
+    # m = 2, 3 and 4 have hulls of one or two vertices; then both ends of
+    # 2^31, and seeded (m, a) with m log-uniform in [2, 2^31]
+    cases = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+    for m in (2**31 - 1, 2**31):
+        cases += [(m, 1), (m, m - 1)] + [(m, a) for a in sample_coprime(m, 2, 0x150)]
+    rng = random.Random(0x150)
+    for _ in range(60):
+        m = round(2 ** rng.uniform(1, 31))
+        cases.append((m, sample_coprime(m, 1, rng.getrandbits(32))[0]))
+    for m, a in cases:
+        assert run_cli(capsys, "hull", "--m", str(m), "--a", str(a), "--json") == (0, _json_dumps_hull(m, a), ""), (m, a)
 
 
 def test_hull_rejects_bad_residue(capsys):

@@ -90,9 +90,15 @@ def test_package_exports_each_module_api(module):
     assert not missing, f"modhull does not export modhull.{module}'s {missing}"
 
 
-def test_import_loads_no_dataclasses_or_fractions():
-    # these cost about 20 ms of every one-shot command; one stray import
-    # brings them back
+# stdlib modules that `import modhull, modhull.cli` must not load.  Each one
+# costs every one-shot command: dataclasses with inspect and fractions with
+# decimal about 20 ms, json with _json about 2 ms, and __future__ about
+# 0.2 ms plus a ForwardRef compiled for each NamedTuple field.  One stray
+# import, or one `from __future__ import annotations`, brings the cost back.
+COSTLY_MODULES = ["dataclasses", "inspect", "fractions", "decimal", "json", "_json", "__future__"]
+
+
+def test_import_loads_no_costly_stdlib_module():
     import_root = Path(modhull.__path__[0]).resolve().parent
     probe = (
         "import sys\n"
@@ -100,7 +106,7 @@ def test_import_loads_no_dataclasses_or_fractions():
         "before = set(sys.modules)\n"
         "import modhull, modhull.cli\n"
         "print(modhull.__file__)\n"
-        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+        f"print(sorted(set({COSTLY_MODULES!r}) & (set(sys.modules) - before)))\n"
     )
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
     path, loaded = out.splitlines()
