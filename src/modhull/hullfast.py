@@ -57,7 +57,6 @@ from .ntheory import divisors
 __all__ = [
     "ENUMERATE_BELOW",
     "VerificationReport",
-    "candidate_points",
     "fast_hull",
     "hull_method",
     "verify_against_naive",
@@ -76,8 +75,8 @@ ENUMERATE_BELOW = 1000
 
 
 def hull_method(m: int) -> str:
-    """The method reported for modulus m: "naive" when candidate_points
-    enumerates every point, else "fast" (the certified search)."""
+    """The method reported for modulus m: "naive" when every point of
+    H_a(m) is hulled, else "fast" (the certified search)."""
     return "naive" if m < ENUMERATE_BELOW else "fast"
 
 
@@ -91,7 +90,14 @@ def _corner_points(m: int, a: int, lo: int, hi: int) -> Iterator[Point]:
     """The points of H_a(m) found from the products in (lo, hi]: the divisor
     pairs (x, y) of a + m*l and (x, m - y) of (m - a) + m*l, each with its
     central mirror (m - x, m - y).  Over (0, c] they are the points with
-    f <= c."""
+    f <= c.
+
+    The two sets a hull of H_a(m) is taken from, these points and, below
+    ENUMERATE_BELOW, the enumeration of H_a(m), have one point per x, as
+    H_a(m) has one per unit x, and are closed under (x, y) -> (m - x,
+    m - y), which keeps x*y mod m: the enumeration holds every point, and
+    this walk yields each point with its mirror.  So either, sorted, may be
+    hulled with convex_hull(..., mirror=m)."""
     for r, mirror in ((a, False), (m - a, True)):
         for l in range((lo - r) // m + 1, (hi - r) // m + 1):
             for x, y in _pairs(m, r + m * l):
@@ -132,7 +138,7 @@ def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, PointSet]:
     with f <= c for the first c = m * 2^k the certificate accepts.  Each
     round adds the corner points of the products in (prev, c], and hulls
     again only when it added one, on the half-turn path (see
-    candidate_points)."""
+    _corner_points)."""
     m, a = spec.m, spec.a
     pts: set[Point] = set()
     cands: PointSet = ()
@@ -147,22 +153,10 @@ def _certified_hull(spec: HyperbolaSpec) -> tuple[ConvexPolygon, PointSet]:
         prev, c = c, 2 * c
 
 
-def candidate_points(spec: HyperbolaSpec) -> PointSet:
-    """The points fast_hull hulls, sorted: every point of H_a(m) below
-    ENUMERATE_BELOW, else the certified corner candidates.  Either set has
-    one point per x, as H_a(m) has one per unit x, and is closed under
-    (x, y) -> (m - x, m - y), which keeps x*y mod m: the enumeration holds
-    every point, and _corner_points yields each point with its mirror.  So
-    it may be hulled with convex_hull(..., mirror=m)."""
-    if spec.m < ENUMERATE_BELOW:
-        return enumerate_points(spec)
-    return _certified_hull(spec)[1]
-
-
 def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:
     """The exact hull of H_a(m)."""
     if spec.m < ENUMERATE_BELOW:
-        return convex_hull(enumerate_points(spec), mirror=spec.m)  # see candidate_points
+        return convex_hull(enumerate_points(spec), mirror=spec.m)  # see _corner_points
     return _certified_hull(spec)[0]
 
 

@@ -85,9 +85,10 @@ def _unit_inverses(m: int, upper: int) -> Iterator[tuple[list[int], list[int]]]:
 @lru_cache(maxsize=1)
 def _full_inverse_table(m: int) -> tuple[tuple[list[int], list[int]], ...]:
     # Sweeps visit several residues per modulus; share the inversion pass.
-    # Every caller (sweeps, compute_record, verify_against_naive, modhull
-    # verify, the bench oracle) visits one modulus's residues in a row, so
-    # only the last table is reused and an older one would only hold memory.
+    # Every caller (sweep records and fast_hull below ENUMERATE_BELOW,
+    # verify_against_naive, modhull verify, the bench oracle) visits one
+    # modulus's residues in a row, so only the last table is reused and an
+    # older one would only hold memory.
     return tuple(_unit_inverses(m, m - 1))
 
 

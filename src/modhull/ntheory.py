@@ -166,6 +166,7 @@ class Factorization(_Checked, _Factorization):
     __slots__ = ()
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]):
+        factors = tuple(map(tuple, factors))  # stored as a tuple of tuples, hashable
         prev = 1
         for p, e in factors:
             if p <= prev or e < 1:

@@ -443,9 +443,8 @@ def test_warm_sweep_builds_only_its_own_records(tmp_path, monkeypatch):
 
 
 def test_records_derive_t_and_squarefree_from_the_kernel(monkeypatch):
-    # the hull is stubbed out: this checks the arithmetic columns only.  The
-    # stub is a mirrored pair, as compute_record hulls by symmetry
-    monkeypatch.setattr(experiments, "candidate_points", lambda spec: sorted({(1, 1), (spec.m - 1, spec.m - 1)}))
+    # the hull is stubbed out: this checks the arithmetic columns only
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: (2, 2, 0))
     examples = {12: (4, 6, 2, False), 30: (8, 30, 1, True), 2: (1, 2, 1, True)}
     for m, (phi, kernel, t, squarefree) in examples.items():
         rec = compute_record(m, 1)
@@ -459,15 +458,16 @@ def test_records_derive_t_and_squarefree_from_the_kernel(monkeypatch):
 
 
 def test_compute_record_hulls_by_symmetry(monkeypatch):
-    # candidate_points is mirrored on both sides of ENUMERATE_BELOW, so
-    # every record takes the symmetric path of convex_hull
+    # below ENUMERATE_BELOW a record hulls the enumeration once, on the
+    # symmetric path of convex_hull; from there on it keeps the polygon the
+    # certified search accepted and hulls nothing more
     calls = []
     real = experiments.convex_hull
     monkeypatch.setattr(experiments, "convex_hull", lambda pts, **kw: calls.append(kw) or real(pts, **kw))
     for m, a in [(2, 1), (7, 3), (999, 2), (1001, 2), (99991, 12345)]:
         calls.clear()
         rec = compute_record(m, a)
-        assert calls == [{"mirror": m}], (m, a)
+        assert calls == ([{"mirror": m}] if m < ENUMERATE_BELOW else []), (m, a)
         assert rec.v == convex_hull(enumerate_points(HyperbolaSpec(m, a))).vertex_count, (m, a)
 
 

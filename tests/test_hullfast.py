@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from modhull import hullfast, hyperbola
+from modhull import experiments, hullfast, hyperbola
+from modhull.experiments import compute_record
 from modhull.geometry import ConvexPolygon, UnimodularMap, contains_point, convex_hull, transform_polygon
 from modhull.hullfast import (
     ENUMERATE_BELOW,
+    _certified_hull,
     _certifies,
     _corner_points,
-    candidate_points,
     fast_hull,
     hull_method,
     verify_against_naive,
@@ -29,6 +30,14 @@ def corner_product(p, m):
 def small_f(spec: HyperbolaSpec, c: int) -> set[Point]:
     """Independent route to the corner points: filter the full point list."""
     return {p for p in enumerate_points(spec) if corner_product(p, spec.m) <= c}
+
+
+def hulled_points(spec: HyperbolaSpec) -> tuple[Point, ...]:
+    """The points a hull of H_a(m) is taken from, sorted: every point below
+    ENUMERATE_BELOW, else the candidates the certified search accepted."""
+    if spec.m < ENUMERATE_BELOW:
+        return enumerate_points(spec)
+    return _certified_hull(spec)[1]
 
 
 def lower_left(spec: HyperbolaSpec, c: int) -> set[Point]:
@@ -153,7 +162,7 @@ def test_candidates_are_genuine_points():
     for m, a in [(7, 1), (101, 13), (1009, 1), (1024, 255)]:
         spec = HyperbolaSpec(m, a)
         pts = set(enumerate_points(spec))
-        cands = candidate_points(spec)
+        cands = hulled_points(spec)
         assert set(cands) <= pts
 
 
@@ -190,16 +199,16 @@ def test_mirror_residues_share_hull_and_candidate_count():
         spec, mirror = HyperbolaSpec(m, a), HyperbolaSpec(m, m - a)
         flip = UnimodularMap(1, 0, 0, -1, 0, m)
         assert transform_polygon(fast_hull(spec), flip) == fast_hull(mirror), (m, a)
-        assert len(candidate_points(spec)) == len(candidate_points(mirror)), (m, a)
+        assert len(hulled_points(spec)) == len(hulled_points(mirror)), (m, a)
 
 
 def test_symmetric_hull_of_candidates_matches_the_general_chain():
-    # candidate_points is sorted, has one point per x and is closed under
+    # either point set is sorted, has one point per x and is closed under
     # (x, y) -> (m - x, m - y) on both sides of ENUMERATE_BELOW, so the
     # symmetric path hulls it as the general and the reference chain do
     pairs = [(m, 1) for m in range(ENUMERATE_BELOW - 10, ENUMERATE_BELOW + 11)]
     for m, a in pairs + list(_seeded_pairs(15)):
-        cands = candidate_points(HyperbolaSpec(m, a))
+        cands = hulled_points(HyperbolaSpec(m, a))
         hull = convex_hull(cands, mirror=m)
         assert hull == convex_hull(cands), (m, a)
         assert hull.vertices == reference_hull(cands), (m, a)
@@ -222,14 +231,16 @@ def test_fast_hull_hulls_enumerations_by_symmetry(monkeypatch):
 
 
 def test_fast_hull_methods_dispatch():
-    # below ENUMERATE_BELOW every point is hulled; from there on, the
+    # below ENUMERATE_BELOW a record hulls every point; from there on, the
     # certified candidates, a strict subset
     small = HyperbolaSpec(ENUMERATE_BELOW - 1, 1)
     assert hull_method(small.m) == "naive"
-    assert candidate_points(small) == enumerate_points(small)
+    assert experiments._hull(*small)[1] == len(enumerate_points(small))
     big = HyperbolaSpec(ENUMERATE_BELOW + 1, 1)
     assert hull_method(big.m) == "fast"
-    assert set(candidate_points(big)) < set(enumerate_points(big))
+    cands = _certified_hull(big)[1]
+    assert set(cands) < set(enumerate_points(big))
+    assert experiments._hull(*big)[1] == len(cands)
     for spec in (small, big):
         assert fast_hull(spec) == convex_hull(enumerate_points(spec))
 
@@ -483,17 +494,23 @@ def test_each_product_is_factored_once(monkeypatch):
 
 
 def test_no_point_set_is_hulled_twice(monkeypatch):
-    # the accepted polygon is the answer, and a round that adds no point
-    # keeps the polygon it has
+    # the accepted polygon is the answer, of fast_hull and of a sweep
+    # record, and a round that adds no point keeps the polygon it has
     hulled: list[frozenset] = []
     real = hullfast.convex_hull
-    monkeypatch.setattr(hullfast, "convex_hull", lambda pts, **kw: hulled.append(frozenset(pts)) or real(pts, **kw))
+    for module in (hullfast, experiments):
+        monkeypatch.setattr(module, "convex_hull", lambda pts, **kw: hulled.append(frozenset(pts)) or real(pts, **kw))
+    runs = {
+        "fast_hull": fast_hull,
+        "verify_against_naive": verify_against_naive,
+        "compute_record": lambda spec: compute_record(*spec),
+    }
     for m, a in SEARCH_CASES:
         spec = HyperbolaSpec(m, a)
-        for run in (fast_hull, verify_against_naive):
+        for name, run in runs.items():
             hulled.clear()
             run(spec)
-            assert len(set(hulled)) == len(hulled), (m, a, run.__name__)
+            assert len(set(hulled)) == len(hulled), (m, a, name)
 
 
 def test_candidates_are_the_points_below_the_accepted_cutoff():
@@ -502,7 +519,7 @@ def test_candidates_are_the_points_below_the_accepted_cutoff():
     for m in range(1000, 1101):
         for a in {1, m - 1, next(a for a in range(2, m) if math.gcd(a, m) == 1)}:
             spec = HyperbolaSpec(m, a)
-            cands = set(candidate_points(spec))
+            cands = set(_certified_hull(spec)[1])
             top = max(corner_product(p, m) for p in cands)
             c = m
             while c < top:

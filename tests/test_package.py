@@ -73,6 +73,8 @@ def test_validated_types_normalise_and_print_as_before():
     assert repr(UnimodularMap(1, 0, 0, 1)) == "UnimodularMap(a=1, b=0, c=0, d=1, tx=0, ty=0)"
     assert APolicy("one") == APolicy(kind="one", k=0, seed=0)
     assert repr(APolicy("all")) == "APolicy(kind='all', k=0, seed=0)"
+    listed, nested = Factorization([(2, 1), (3, 1)]), Factorization(((2, 1), (3, 1)))
+    assert listed == nested and hash(listed) == hash(nested)
     values = (spec, form, Factorization(((2, 1),)), ConvexPolygon(((0, 0),)), UnimodularMap(1, 0, 0, 1), APolicy("one"))
     for value in values:
         with pytest.raises(AttributeError):
