@@ -7,15 +7,16 @@ Run `modhull <subcommand> -h` for flags.
 import argparse
 import sys
 
-from .conics import CONIC_MONOMIALS, count_conic_points_in_box, find_vanishing_form
+from .conics import CONIC_MONOMIALS, conic_points_in_box, find_vanishing_form
 from .experiments import (
+    CSV_HEADER,
     APolicy,
+    SummaryFold,
+    csv_rows,
     default_cache_file,
-    exponent_summary,
     lower_bound_census,
     render_exponent_summary,
-    run_sweep,
-    write_csv,
+    sweep_moduli,
 )
 from .geometry import twice_area
 from .hullfast import fast_hull, hull_method, verify_against_naive
@@ -44,16 +45,30 @@ def _cmd_hull(args) -> int:
 
 def _cmd_sweep(args) -> int:
     policy = APolicy.parse(args.a_policy, seed=args.seed)
-    records = run_sweep(
+    batches = sweep_moduli(
         args.m_min,
         args.m_max,
         policy,
         workers=args.workers,
         cache_file=None if args.no_cache else default_cache_file(),
     )
-    write_csv(args.out, records)
-    print(f"wrote {len(records)} records to {args.out}")
-    print(render_exponent_summary(exponent_summary(records)))
+    import shutil
+    import tempfile
+
+    summary = SummaryFold()
+    # each modulus's rows go to an unnamed spool file as they arrive, and
+    # to --out once the sweep has ended: a sweep that fails leaves --out as
+    # it was
+    with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spool:
+        spool.write(CSV_HEADER)
+        for records in batches:
+            spool.write(csv_rows(records))
+            summary.add(records)
+        spool.seek(0)
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+            shutil.copyfileobj(spool, fh)
+    print(f"wrote {summary.count} records to {args.out}")
+    print(render_exponent_summary(summary.summary()))
     return 0
 
 
@@ -115,10 +130,10 @@ def _cmd_conic_fit(args) -> int:
 
 
 def _cmd_conic_count(args) -> int:
-    count, sols = count_conic_points_in_box(args.coeffs, args.H)
+    # two scans, the first to count, so that no solution is held
+    count = sum(1 for _ in conic_points_in_box(args.coeffs, args.H))
     print(f"count: {count}")
-    for x, y in sols:
-        print(f"{x} {y}")
+    sys.stdout.writelines(map("%d %d\n".__mod__, conic_points_in_box(args.coeffs, args.H)))
     return 0
 
 

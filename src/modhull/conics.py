@@ -13,7 +13,7 @@ the rest of the package checks sparse-solution claims against.
 """
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .hyperbola import ENUMERATION_CEILING, Point
 from .ntheory import _Checked
@@ -27,6 +27,7 @@ __all__ = [
     "find_vanishing_form",
     "minors_singular_mod",
     "classify_conic",
+    "conic_points_in_box",
     "count_conic_points_in_box",
     "poly_roots_mod",
 ]
@@ -211,14 +212,14 @@ def classify_conic(g: ConicForm) -> ConicClass:
     )
 
 
-def count_conic_points_in_box(
-    g: ConicForm | Sequence[int], H: int
-) -> tuple[int, list[Point]]:
-    """Exact count (and list) of integral solutions of g = 0 in [0, H]^2.
+def conic_points_in_box(g: ConicForm | Sequence[int], H: int) -> Iterator[Point]:
+    """The integral solutions of g = 0 in [0, H]^2 in (x, y) order, made
+    lazily, so that memory does not grow with their number.
 
     Scans x and solves the remaining quadratic (or linear) equation in y
-    with exact integer square-root tests.  Raises ValueError when H exceeds
-    ENUMERATION_CEILING, before the scan.
+    with exact integer square-root tests.  A bad form, a negative H and an
+    H above ENUMERATION_CEILING raise ValueError at the call, before the
+    scan.
     """
     if not isinstance(g, ConicForm):
         coeffs = tuple(int(v) for v in g)
@@ -229,36 +230,49 @@ def count_conic_points_in_box(
         g = ConicForm(*coeffs)
     if H < 0:
         raise ValueError("box size H must be >= 0")
-    # The line x = 0 has H + 1 solutions, about 100 bytes each: 115 MiB RSS
-    # at H = 10^6 and 1011 MiB at the ceiling (CPython 3.11, 64-bit Linux).
+    # the ceiling bounds the time of a scan: about 3 s at H = 10^7 (CPython 3.11)
     if H > ENUMERATION_CEILING:
         raise ValueError(f"conic counts are limited to H <= {ENUMERATION_CEILING}, got H = {H}")
-    A, B, C, D, E, F = g.coeffs
-    sols: list[Point] = []
-    for x in range(H + 1):
-        qa = C
-        qb = B * x + E
-        qc = A * x * x + D * x + F
-        if qa != 0:
-            disc = qb * qb - 4 * qa * qc
+    return _conic_scan(g.coeffs, H)
+
+
+def _conic_scan(coeffs: tuple[int, ...], H: int) -> Iterator[Point]:
+    A, B, C, D, E, F = coeffs
+    if C != 0:
+        # at each x, g = 0 is C*y^2 + (B*x + E)*y + (A*x^2 + D*x + F) = 0,
+        # whose discriminant in y is P*x^2 + Q*x + R
+        P, Q, R = B * B - 4 * A * C, 2 * B * E - 4 * C * D, E * E - 4 * C * F
+        for x in range(H + 1):
+            disc = (P * x + Q) * x + R
             if disc < 0:
                 continue
             root = math.isqrt(disc)
             if root * root != disc:
                 continue
-            for num in {-qb + root, -qb - root}:
-                if num % (2 * qa) == 0:
-                    y = num // (2 * qa)
-                    if 0 <= y <= H:
-                        sols.append((x, y))
-        elif qb != 0:
+            qb = B * x + E
+            ys = [num // (2 * C) for num in {-qb + root, -qb - root} if num % (2 * C) == 0]
+            yield from ((x, y) for y in sorted(ys) if 0 <= y <= H)
+        return
+    for x in range(H + 1):  # linear in y: (B*x + E)*y + (A*x^2 + D*x + F) = 0
+        qb = B * x + E
+        qc = (A * x + D) * x + F
+        if qb != 0:
             if qc % qb == 0:
                 y = -qc // qb
                 if 0 <= y <= H:
-                    sols.append((x, y))
+                    yield x, y
         elif qc == 0:
-            sols.extend((x, y) for y in range(H + 1))
-    sols.sort()
+            yield from ((x, y) for y in range(H + 1))
+
+
+def count_conic_points_in_box(
+    g: ConicForm | Sequence[int], H: int
+) -> tuple[int, list[Point]]:
+    """Exact count and list of the integral solutions of g = 0 in [0, H]^2,
+    in (x, y) order: conic_points_in_box, listed.  The line x = 0 has
+    H + 1 solutions, about 100 bytes each in the list: 115 MiB RSS at
+    H = 10^6 and 1011 MiB at the ceiling (CPython 3.11, 64-bit Linux)."""
+    sols = list(conic_points_in_box(g, H))
     return len(sols), sols
 
 

@@ -2,14 +2,16 @@
 lower-bound census v_1(m) >= 2*(tau(m-1) - 1), exponent summaries, and an
 append-only cache that keeps every record of interrupted and concurrent sweeps.
 
-One walk over (m, a) pairs, APolicy.tasks, serves the sweep, the census and
-`modhull verify`, and holds the one check of a modulus range.  A record is a
+One walk over the moduli of a range and their residues, APolicy.by_modulus,
+serves the sweep, the census and `modhull verify` (through its (m, a) pairs,
+APolicy.tasks), and holds the one check of a modulus range.  A record is a
 SweepRecord tuple: its values in column order fill the CSV row.  A hull
 gives v, candidate_count and elapsed_ns; every other column depends on m and
 v alone.  A cache line holds m, a, those three integers and the version, and
-run_sweep builds every record, computed or replayed, at one call of _record,
-from the three integers and the columns of m, derived once per modulus.
-run_sweep uses a cache only when it is given a cache file.
+sweep_moduli builds every record, computed or replayed, at one call of
+_record, from the three integers and the columns of m, derived once per
+modulus, and hands the records back one modulus at a time; run_sweep lists
+them.  A sweep uses a cache only when it is given a cache file.
 
 Reproducibility contract: identical inputs (range, policy, seed) produce
 identical records, and a warm cache replays timing fields verbatim, so
@@ -24,7 +26,7 @@ import os
 import re
 import time
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -44,10 +46,14 @@ __all__ = [
     "SweepRecord",
     "compute_record",
     "run_sweep",
+    "sweep_moduli",
+    "CSV_HEADER",
+    "csv_rows",
     "records_to_csv",
     "write_csv",
     "lower_bound_census",
     "exponent_summary",
+    "SummaryFold",
     "render_exponent_summary",
     "default_cache_file",
 ]
@@ -55,14 +61,15 @@ __all__ = [
 CACHE_ENV = "MODHULL_CACHE_DIR"
 
 # The most records one sweep may hold, bounded from its arguments before it
-# builds anything (APolicy.max_count).  A sweep holds every record, its
-# task lists, the cache dict of hull columns (each freed as its record is
-# built) and the CSV text at once: `modhull sweep --a-policy all` over m in
-# [3, 300] and [3, 700] (27,396 and 149,016 records) peaked at 29.4 and
-# 91.6 MiB RSS cold and 28.3 and 91.6 MiB on the warm replay, under 650
-# bytes a record, so at the ~900 bytes a record that the refusal names the
-# ceiling is about the 1.8 GB that ENUMERATION_CEILING allows.  CPython
-# 3.11, 64-bit Linux.
+# builds anything (APolicy.max_count).  A sweep holds the records of one
+# modulus at a time and `modhull sweep` spools its CSV to a file, so what
+# grows with the record count is SummaryFold's 48 bytes a record and, on a
+# warm replay, the cache lines the sweep loads (about 290 bytes a record,
+# each freed as its record is built).  `modhull sweep --a-policy all` over
+# m in [3, 300], [3, 500] and [3, 700] (27,396, 76,114 and 149,016 records)
+# peaked at 17.1, 19.6 and 23.4 MiB RSS cold and 22.4, 36.3 and 55.8 MiB on
+# the warm replay, so a warm replay at the ceiling takes about 0.6 GB.
+# CPython 3.11, 64-bit Linux.
 SWEEP_CEILING = 2 * 10**6
 
 _MASK64 = (1 << 64) - 1
@@ -141,14 +148,19 @@ class APolicy(_Checked, _APolicy):
             return [a for a in range(1, m) if math.gcd(a, m) == 1]
         return sample_coprime(m, self.k, self.seed)
 
-    def tasks(self, m_min: int, m_max: int) -> Iterator[tuple[int, int]]:
-        """The (m, a) pairs over m in [m_min, m_max] in (m, a) order, made
-        lazily.  A bad range, or one past MODULUS_CEILING, is refused at the
-        call, before any residue list or record."""
+    def by_modulus(self, m_min: int, m_max: int) -> Iterator[tuple[int, list[int]]]:
+        """Each m in [m_min, m_max] in increasing order, with its residues
+        a_values(m), made lazily.  A bad range, or one past MODULUS_CEILING,
+        is refused at the call, before any residue list or record."""
         if not 2 <= m_min <= m_max:
             raise ValueError(f"bad modulus range [{m_min}, {m_max}]")
         HyperbolaSpec(m_max, 1)  # its refusal of m_max > MODULUS_CEILING, now, not at m_max's record
-        return ((m, a) for m in range(m_min, m_max + 1) for a in self.a_values(m))
+        return ((m, self.a_values(m)) for m in range(m_min, m_max + 1))
+
+    def tasks(self, m_min: int, m_max: int) -> Iterator[tuple[int, int]]:
+        """The (m, a) pairs of by_modulus in (m, a) order, made lazily and
+        refused as by_modulus refuses them."""
+        return ((m, a) for m, residues in self.by_modulus(m_min, m_max) for a in residues)
 
 
 def sample_coprime(m: int, k: int, seed: int) -> list[int]:
@@ -157,8 +169,9 @@ def sample_coprime(m: int, k: int, seed: int) -> list[int]:
     # phi(n) >= sqrt(n/2) for n >= 1: the factor 2^e of n gives
     # 2^(e-1) >= 2^(e/2)/sqrt(2), and each odd p^e gives p^(e-1)*(p-1) >=
     # p^(e/2).  So 2*k*k <= m means k <= phi(m), and m need not be factorized.
+    # Otherwise the factorization is the one a sweep's columns of m reuse.
     if 2 * k * k > m:
-        k = min(k, factorize(m).phi)  # no draws are spent once every unit is held
+        k = min(k, _factorize(m).phi)  # no draws are spent once every unit is held
     rng = SplitMix64(_mix64(seed) ^ _mix64(m))
     chosen: set[int] = set()
     attempts = 0
@@ -207,14 +220,15 @@ _LINE_FORMAT = b"%d %d %d %d %d " + __version__.encode() + b"\n"
 
 @lru_cache(maxsize=2)
 def _factorize(n: int) -> Factorization:
-    # _modulus_stats factorizes m - 1, then m: over moduli in increasing
-    # order, as a sweep and the census visit them, the m of one modulus is
-    # the m - 1 of the next.  In the other order m would be the older entry,
-    # dropped before it is asked for.
+    # A sweep lists the residues of m, then _modulus_stats factorizes m - 1,
+    # then m: over moduli in increasing order, as a sweep and the census
+    # visit them, the m of one modulus is the m - 1 of the next, and the m
+    # that sample_coprime factorizes is the m of the columns.  In the other
+    # order m would be the older entry, dropped before it is asked for.
     return factorize(n)
 
 
-@lru_cache(maxsize=1)  # the records of one modulus are built in a row
+@lru_cache(maxsize=1)  # compute_record over the residues of one m
 def _modulus_stats(m: int) -> tuple:
     """The columns of a record of modulus m that do not depend on a or v:
     phi(m), tau(m - 1), the kernel of m, t, squarefree and method, then
@@ -226,12 +240,13 @@ def _modulus_stats(m: int) -> tuple:
     return f.phi, tau_m_minus_1, kernel, t, kernel == m, hull_method(m), math.log(m), t * m ** (5.0 / 12.0)
 
 
-def _record(m: int, a: int, hull: tuple[int, int, int]) -> SweepRecord:
+def _record(m: int, a: int, hull: tuple[int, int, int], stats: tuple | None = None) -> SweepRecord:
     """The record of (m, a) whose hull gave (v, candidate_count, elapsed_ns):
-    every other column depends on m and v alone, and _modulus_stats derives
-    those of m once for the records of m built in a row."""
+    every other column depends on m and v alone.  stats are the columns of
+    m, _modulus_stats(m) unless a sweep derived them once for all of m's
+    records."""
     v, candidate_count, elapsed_ns = hull
-    phi, tau_m_minus_1, kernel, t, squarefree, method, log_m, t_m512 = _modulus_stats(m)
+    phi, tau_m_minus_1, kernel, t, squarefree, method, log_m, t_m512 = stats or _modulus_stats(m)
     exponent = math.log(v) / log_m if v > 1 else 0.0
     # SweepRecord(...) without the keyword handling of its __new__
     return tuple.__new__(
@@ -299,7 +314,11 @@ def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], tup
     return out
 
 
-_BLOCK_BYTES = 1 << 16
+# A block's matches take about 12 times its bytes while it is parsed: at
+# 8 KiB a warm replay over [3, 120] peaked at 0.63 MiB of Python objects
+# (tracemalloc) against 1.39 at 64 KiB, in the same time, and a load of
+# 48,676 lines took no longer.
+_BLOCK_BYTES = 1 << 13
 _FIRST = itemgetter(0)
 
 
@@ -323,20 +342,28 @@ def _open_for_append(path: Path):
     return fh
 
 
-def run_sweep(
+def sweep_moduli(
     m_min: int,
     m_max: int,
     policy: APolicy,
     workers: int = 1,
     cache_file: Path | None = None,
-) -> list[SweepRecord]:
-    """One record per (m, a) over m in [m_min, m_max], ordered by (m, a).
+) -> Iterator[list[SweepRecord]]:
+    """The records of each m in [m_min, m_max], one list per modulus in
+    increasing m, each ordered by a, made lazily: a modulus is listed,
+    hulled and cached when its records are asked for, so a sweep holds the
+    records of one modulus at a time.  A bad range, a worker count below 1
+    and a sweep that may have more than SWEEP_CEILING records are refused
+    at the call, before any residue list is built or cache read.
 
     With a cache_file, its records are replayed verbatim (including
     timings); with None, every record is computed and nothing is written.
     Misses are computed, possibly across worker processes (at most one per
-    CPU, whatever larger number is asked for), and each one is appended to
-    the cache as it arrives, so an interrupted sweep keeps what it computed.
+    CPU, whatever larger number is asked for), and the lines of a modulus
+    are appended to the cache as its records are handed back, so an
+    interrupted sweep keeps what it handed back.  A pool is sent the hulls
+    of _POOL_BATCH tasks per worker at once, over as many moduli as that
+    takes, and the next batch before the records of one are handed back.
 
     A missing (m, a) with m - a < a whose partner (m, m - a) is cached or
     among the sweep's tasks is not hulled: it takes the partner's three
@@ -352,45 +379,103 @@ def run_sweep(
     mirror lines are written here, in (m, a) order after their partners, so
     the serial and the parallel sweep append the same lines.
 
-    Every record is built at the end, in (m, a) order, from its hull's
-    three integers and the columns of m, derived once per modulus.
+    Every record is built from its hull's three integers and the columns of
+    m, derived once per modulus.
     """
-    walk = policy.tasks(m_min, m_max)
+    walk = policy.by_modulus(m_min, m_max)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (n := policy.max_count(m_min, m_max)) > SWEEP_CEILING:  # before any list is built
-        raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records (~900 bytes a record), this one may have {n}")
-    tasks = list(walk)
+        raise ValueError(f"sweeps are limited to {SWEEP_CEILING} records, this one may have {n}")
     cache = _load_cache(cache_file, m_min, m_max) if cache_file is not None else {}
+    return _sweep(walk, workers, cache_file, cache)
 
-    missing = [task for task in tasks if task not in cache]
-    if missing:
-        held = cache.keys() | missing  # a missing partner is hulled, before its mirror
-        mirrored = {(m, a) for m, a in missing if m - a < a and (m, m - a) in held}
-        hulled = [task for task in missing if task not in mirrored]
-        columns = tuple(zip(*hulled)) or ((), ())  # the m and a columns, empty when nothing is hulled
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
-                stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
-                computed = pool.map(_hull, *columns, chunksize=8)
-            else:
-                computed = map(_hull, *columns)
-            out = stack.enter_context(_open_for_append(cache_file)) if cache_file is not None else None
-            for m, a in missing:  # in (m, a) order: a mirror follows its partner
-                hull = cache[m, a] = cache[m, m - a] if (m, a) in mirrored else next(computed)
-                if out is not None:
-                    out.write(_LINE_FORMAT % (m, a, *hull))
-    # popped: each hull's columns are freed as its record is built
-    return [_record(m, a, cache.pop((m, a))) for m, a in tasks]
+# the hull tasks a pool is sent at once, per worker: the next batch is sent
+# before the records of the last one are handed back, so that the workers
+# do not wait, and a batch spans moduli, so that a pool map sends full
+# chunks when a modulus has few hulls
+_POOL_BATCH = 64
+
+
+def _sweep(walk, workers: int, cache_file: Path | None, cache: dict) -> Iterator[list[SweepRecord]]:
+    from collections import deque
+
+    out = None  # the cache file, opened for the first line the sweep appends
+
+    def finish(m, residues, missing, mirrored, stats, hulls) -> list[SweepRecord]:
+        nonlocal out
+        if missing and out is None and cache_file is not None:
+            out = stack.enter_context(_open_for_append(cache_file))
+        for a in missing:  # in increasing a: a mirror follows its partner
+            hull = cache[m, a] = cache[m, m - a] if a in mirrored else next(hulls)
+            if out is not None:
+                out.write(_LINE_FORMAT % (m, a, *hull))
+        # popped: each hull's columns are freed as its record is built
+        return [_record(m, a, cache.pop((m, a)), stats) for a in residues]
+
+    def hand_back(moduli, hulls) -> Iterator[list[SweepRecord]]:
+        for modulus in moduli:
+            yield finish(*modulus, hulls)
+
+    pool = None  # started for the first batch with hulls: a replay needs none
+
+    def hull_map(ms, hulled):
+        nonlocal pool
+        if workers == 1 or not hulled:
+            return map(_hull, ms, hulled)  # lazy: a modulus is hulled as its records are handed back
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=processes)
+            stack.callback(pool.shutdown, cancel_futures=True)  # on error, drop queued tasks
+        return pool.map(_hull, ms, hulled, chunksize=8)
+
+    processes = min(workers, os.cpu_count() or 1)
+    batch, ahead = (_POOL_BATCH * processes, 1) if workers > 1 else (1, 0)
+    with contextlib.ExitStack() as stack:
+        listed, ms, hulled = [], [], []  # the moduli listed since the last batch was sent, and their hull tasks
+        sent = deque()  # (moduli, hulls) of each batch sent and not yet handed back, oldest first
+        for m, residues in walk:
+            missing = [a for a in residues if (m, a) not in cache]
+            held = set(missing)  # a missing partner is hulled, before its mirror
+            mirrored = {a for a in missing if m - a < a and (m - a in held or (m, m - a) in cache)}
+            hulled += (a for a in missing if a not in mirrored)
+            ms += repeat(m, len(hulled) - len(ms))
+            listed.append((m, residues, missing, mirrored, _modulus_stats(m)))  # after the residues: see _factorize
+            if len(listed) + len(hulled) >= batch:  # a modulus counts as one more than its hulls
+                sent.append((listed, hull_map(ms, hulled)))
+                listed, ms, hulled = [], [], []
+                while len(sent) > ahead:
+                    yield from hand_back(*sent.popleft())
+        sent.append((listed, hull_map(ms, hulled)))
+        while sent:
+            yield from hand_back(*sent.popleft())
+
+
+def run_sweep(
+    m_min: int,
+    m_max: int,
+    policy: APolicy,
+    workers: int = 1,
+    cache_file: Path | None = None,
+) -> list[SweepRecord]:
+    """One record per (m, a) over m in [m_min, m_max], ordered by (m, a):
+    the records of sweep_moduli, in one list."""
+    return [record for records in sweep_moduli(m_min, m_max, policy, workers, cache_file) for record in records]
+
+
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+_ROW_LINE = _ROW_FORMAT + "\n"
+
+
+def csv_rows(records: list[SweepRecord]) -> str:
+    """The CSV lines of these records, each ending in a newline."""
+    return "".join(map(_ROW_LINE.__mod__, records))
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_ROW_FORMAT % rec for rec in records)
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + csv_rows(records)
 
 
 def write_csv(path, records: list[SweepRecord]) -> None:
@@ -416,10 +501,52 @@ def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int
     return violations, equality
 
 
-def _stats(records: list[SweepRecord]) -> dict:
-    n = len(records)
-    exponents = list(map(_EXPONENT, records))
-    norms = list(map(_NORM512, records))
+class SummaryFold:
+    """exponent_summary folded over records given in batches, in order, as
+    sweep_moduli hands them back.  Each group keeps its records' exponent
+    and norm512, 8 bytes each in an array, in record order, because its
+    means are sum() over them: a running total would print other means on
+    CPython 3.12 and later, whose float sum is compensated."""
+
+    def __init__(self):
+        from array import array
+        from collections import defaultdict
+
+        def pair():
+            return array("d"), array("d")
+
+        self._array = array
+        self._overall = pair()
+        self._by_squarefree = defaultdict(pair)
+        self._by_dyadic = defaultdict(pair)  # j -> the records with 2^j <= m < 2^(j+1)
+
+    @property
+    def count(self) -> int:
+        return len(self._overall[0])
+
+    def add(self, records) -> None:
+        for (squarefree, m), run in groupby(records, _SQUAREFREE_M):
+            run = list(run)
+            exponents = self._array("d", map(_EXPONENT, run))  # extended into each group by one copy
+            norms = self._array("d", map(_NORM512, run))
+            sf = "squarefree" if squarefree else "non_squarefree"
+            for group in (self._overall, self._by_squarefree[sf], self._by_dyadic[m.bit_length() - 1]):
+                group[0].extend(exponents)
+                group[1].extend(norms)
+
+    def summary(self) -> dict:
+        """exponent_summary of every record added so far."""
+        if not self.count:
+            raise ValueError("no records to summarize")
+        return {
+            "overall": _stats(*self._overall),
+            "by_squarefree": {k: _stats(*v) for k, v in sorted(self._by_squarefree.items())},
+            "by_dyadic": {f"[2^{j},2^{j + 1})": _stats(*v) for j, v in sorted(self._by_dyadic.items())},
+        }
+
+
+def _stats(exponents, norms) -> dict:
+    n = len(exponents)
     return {
         "count": n,
         "max_exponent": max(exponents),
@@ -431,23 +558,15 @@ def _stats(records: list[SweepRecord]) -> dict:
 
 _EXPONENT = itemgetter(CSV_COLUMNS.index("exponent"))
 _NORM512 = itemgetter(CSV_COLUMNS.index("norm512"))
+_SQUAREFREE_M = itemgetter(CSV_COLUMNS.index("squarefree"), CSV_COLUMNS.index("m"))
 
 
 def exponent_summary(records: list[SweepRecord]) -> dict:
     """Max/mean of ln(v)/ln(m) and of v/(t*m^(5/12)), overall and grouped by
     squarefree flag and dyadic modulus range."""
-    if not records:
-        raise ValueError("no records to summarize")
-    by_sf: dict[str, list[SweepRecord]] = {}
-    by_dyadic: dict[int, list[SweepRecord]] = {}  # j -> the records with 2^j <= m < 2^(j+1)
-    for r in records:
-        by_sf.setdefault("squarefree" if r.squarefree else "non_squarefree", []).append(r)
-        by_dyadic.setdefault(r.m.bit_length() - 1, []).append(r)
-    return {
-        "overall": _stats(records),
-        "by_squarefree": {k: _stats(v) for k, v in sorted(by_sf.items())},
-        "by_dyadic": {f"[2^{j},2^{j + 1})": _stats(v) for j, v in sorted(by_dyadic.items())},
-    }
+    fold = SummaryFold()
+    fold.add(records)
+    return fold.summary()
 
 
 def render_exponent_summary(summary: dict) -> str:

@@ -272,6 +272,56 @@ def test_sweep_writes_csv(tmp_path, capsys, monkeypatch):
     assert "wrote 11 records" in out
 
 
+@pytest.mark.parametrize(
+    "m_min, m_max, policy", [(3, 150, "all"), (990, 1005, "one"), (995, 1004, "sample:3"), (3, 49, "sample:5")]
+)
+def test_sweep_streams_what_the_list_of_records_gives(tmp_path, capsys, monkeypatch, m_min, m_max, policy):
+    # the CSV written modulus by modulus and the folded summary are the
+    # bytes of the records listed at once, on both sides of ENUMERATE_BELOW
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    out_file = tmp_path / "r.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--m-min", str(m_min), "--m-max", str(m_max), "--a-policy", policy, "--seed", "11",
+        "--out", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    cache = tmp_path / "cache" / "sweep-cache.txt"
+    records = experiments.run_sweep(m_min, m_max, APolicy.parse(policy, seed=11), cache_file=cache)  # replayed
+    assert out_file.read_text() == experiments.records_to_csv(records)
+    summary = experiments.render_exponent_summary(experiments.exponent_summary(records))
+    assert out == f"wrote {len(records)} records to {out_file}\n{summary}\n"
+
+
+@pytest.mark.parametrize("before", [None, "an earlier sweep's CSV\n"])
+def test_sweep_that_fails_partway_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, before):
+    # a sweep writes --out only once every record is made; the cache keeps
+    # what was hulled
+    monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
+    out_file = tmp_path / "r.csv"
+    if before is not None:
+        out_file.write_text(before)
+    real = experiments._hull
+    hulled = []
+
+    def hull(m, a):
+        if m == 30:
+            raise fault
+        hulled.append((m, a))
+        return real(m, a)
+
+    monkeypatch.setattr(experiments, "_hull", hull)
+    argv = ["sweep", "--m-min", "10", "--m-max", "40", "--a-policy", "all", "--out", str(out_file)]
+    fault = ValueError("no hull today")
+    assert run_cli(capsys, *argv) == (2, "", "error: no hull today\n")
+    fault = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert (out_file.read_text() if out_file.exists() else None) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"] + ["r.csv"] * (before is not None)
+    cached = experiments._load_cache(tmp_path / "cache" / "sweep-cache.txt", 10, 40)
+    assert {m for m, _ in cached} == set(range(10, 30)) and hulled and {m for m, _ in hulled} <= set(range(10, 30))
+
+
 def test_sweep_byte_identical_reruns(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODHULL_CACHE_DIR", str(tmp_path / "cache"))
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,6 +12,7 @@ from modhull.conics import (
     ConicForm,
     InfiniteFamily,
     classify_conic,
+    conic_points_in_box,
     count_conic_points_in_box,
     find_vanishing_form,
     minors_singular_mod,
@@ -264,6 +265,22 @@ def test_count_matches_double_loop(coeffs, H):
 def test_count_matches_double_loop_at_larger_boxes():
     for coeffs in [(1, 0, -2, 0, 0, -1), (2, -3, 1, 0, -5, 4), (0, 1, 0, -7, 2, -9)]:
         assert count_conic_points_in_box(coeffs, 300)[1] == brute_count(coeffs, 300)
+
+
+def test_conic_points_are_made_lazily_in_order():
+    # the first solution of the line x = 0 at the ceiling comes without the
+    # other 10^7, which a list would hold in about 1 GiB
+    points = conic_points_in_box((1, 0, 0, 0, 0, 0), ENUMERATION_CEILING)
+    assert next(points) == (0, 0) and next(points) == (0, 1)
+    # the box and the form are refused at the call, before the scan
+    with pytest.raises(ValueError, match=str(ENUMERATION_CEILING)):
+        conic_points_in_box((1, 0, 0, 0, 0, 0), ENUMERATION_CEILING + 1)
+    with pytest.raises(InfiniteFamily):
+        conic_points_in_box((0, 0, 0, 0, 0, 0), 10)
+    # a negative leading coefficient puts the larger root first
+    for coeffs in [(1, 0, 1, 0, 0, -25), (-1, 0, -1, 0, 0, 25), (0, 1, 0, -3, 0, 0), (2, -3, 1, 0, -5, 4)]:
+        points = list(conic_points_in_box(coeffs, 60))
+        assert points == sorted(brute_count(coeffs, 60)) == count_conic_points_in_box(coeffs, 60)[1], coeffs
 
 
 def test_pell_counts_grow_slowly():

@@ -385,6 +385,16 @@ def test_sample_sweep_factors_each_modulus_once(monkeypatch):
     experiments._modulus_stats.cache_clear()
     assert len(run_sweep(1000, 1100, APolicy("sample", 5, 7))) == 5 * 101
     assert sorted(calls) == list(range(999, 1101))
+    # below 2*5*5 = 50 listing the residues factorizes m too: the columns of
+    # m reuse that factorization, with one worker or with a pool
+    for workers in (1, 2):
+        calls.clear()
+        experiments._factorize.cache_clear()
+        experiments._modulus_stats.cache_clear()
+        assert len(run_sweep(3, 49, APolicy("sample", 5), workers=workers)) == sum(
+            min(5, factorize(m).phi) for m in range(3, 50)
+        )
+        assert sorted(calls) == list(range(2, 50)), workers
 
 
 def test_sweep_recovers_from_damaged_cache(tmp_path, monkeypatch):
@@ -557,7 +567,7 @@ def test_sweep_without_cache(tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
-def test_sweep_workers_match_serial(tmp_path):
+def test_sweep_workers_match_serial(tmp_path, monkeypatch):
     # "one" has no mirror pairs; under "all" the main process builds the mirrors
     for policy, m_min, m_max in (("one", 10, 60), ("all", 3, 60)):
         a, b = tmp_path / f"{policy}-a.txt", tmp_path / f"{policy}-b.txt"
@@ -567,6 +577,81 @@ def test_sweep_workers_match_serial(tmp_path):
         assert strip(serial) == strip(parallel)
         # both paths append the same lines, in the same order
         assert _mask_elapsed(b.read_text()) == _mask_elapsed(a.read_text())
+    # a replay with nothing to hull starts no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    assert run_sweep(3, 60, APolicy("all"), workers=2, cache_file=b) == run_sweep(3, 60, APolicy("all"), cache_file=b)
+
+
+def test_sweep_hulls_a_modulus_when_its_records_are_asked_for(tmp_path, monkeypatch):
+    hulled = []
+    real = experiments._hull
+    monkeypatch.setattr(experiments, "_hull", lambda m, a: hulled.append((m, a)) or real(m, a))
+    cache = tmp_path / "cache.txt"
+    batches = experiments.sweep_moduli(10, 40, APolicy("all"), cache_file=cache)
+    assert hulled == [] and not cache.exists()
+    first = next(batches)
+    assert [(r.m, r.a) for r in first] == [(10, 1), (10, 3), (10, 7), (10, 9)]
+    assert hulled == [(10, 1), (10, 3)]  # and their mirrors, (10, 9) and (10, 7), from them
+    assert list(experiments._load_cache(cache, 10, 40)) == [(10, 1), (10, 3), (10, 7), (10, 9)]
+    assert [r.m for r in next(batches)] == [11] * 10 and {m for m, _ in hulled} == {10, 11}
+    batches.close()  # the sweep is dropped after two moduli: the rest are never listed
+    assert {m for m, _ in hulled} == {10, 11}
+    _forbid_compute(monkeypatch)
+    assert run_sweep(10, 11, APolicy("all"), cache_file=cache)[:4] == first
+
+
+def _summary_reference(records) -> dict:
+    """exponent_summary as it was when it grouped a list of records: the
+    reference the folded summary must equal, float sums included."""
+    def stats(group):
+        exponents = [r.exponent for r in group]
+        norms = [r.norm512 for r in group]
+        return {
+            "count": len(group),
+            "max_exponent": max(exponents),
+            "mean_exponent": sum(exponents) / len(group),
+            "max_norm512": max(norms),
+            "mean_norm512": sum(norms) / len(group),
+        }
+
+    by_sf, by_dyadic = {}, {}
+    for r in records:
+        by_sf.setdefault("squarefree" if r.squarefree else "non_squarefree", []).append(r)
+        by_dyadic.setdefault(r.m.bit_length() - 1, []).append(r)
+    return {
+        "overall": stats(records),
+        "by_squarefree": {k: stats(v) for k, v in sorted(by_sf.items())},
+        "by_dyadic": {f"[2^{j},2^{j + 1})": stats(v) for j, v in sorted(by_dyadic.items())},
+    }
+
+
+@pytest.mark.parametrize(
+    "m_min, m_max, policy",
+    [
+        (3, 400, APolicy("all")),
+        (3, 3000, APolicy("one")),
+        (900, 1100, APolicy("sample", 4, 2701)),
+        (990, 1003, APolicy("all")),
+    ],
+)
+def test_folded_summary_equals_the_summary_of_the_list(m_min, m_max, policy):
+    # seeded sweeps on both sides of ENUMERATE_BELOW; repr tells floats
+    # apart to the last bit, and the rendered text is what `sweep` prints
+    fold = experiments.SummaryFold()
+    records = []
+    for batch in experiments.sweep_moduli(m_min, m_max, policy):
+        fold.add(batch)
+        records += batch
+    assert records[0].m < ENUMERATE_BELOW or m_min >= ENUMERATE_BELOW
+    assert fold.count == len(records)
+    assert repr(fold.summary()) == repr(exponent_summary(records)) == repr(_summary_reference(records))
+    assert render_exponent_summary(fold.summary()) == render_exponent_summary(exponent_summary(records))
+    # records out of modulus order, too
+    shuffled = random.Random(2702).sample(records, len(records))
+    assert repr(exponent_summary(shuffled)) == repr(_summary_reference(shuffled))
 
 
 def _masked(records) -> list[SweepRecord]:
