@@ -13,7 +13,8 @@ the rest of the package checks sparse-solution claims against.
 """
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .hyperbola import ENUMERATION_CEILING, Point
 from .ntheory import _Checked
@@ -147,16 +148,7 @@ def _echelon(mat: list[list[int]], s: int) -> list[int]:
     return pivots
 
 
-class _ConicForm(NamedTuple):
-    A: int
-    B: int
-    C: int
-    D: int
-    E: int
-    F: int
-
-
-class ConicForm(_Checked, _ConicForm):
+class ConicForm(_Checked, namedtuple("ConicForm", "A B C D E F")):
     """Primitive integer quadratic form A X^2 + B XY + C Y^2 + D X + E Y + F.
 
     Coefficients are divided by their gcd at construction; the all-zero
@@ -188,10 +180,9 @@ class ConicForm(_Checked, _ConicForm):
         )
 
 
-class ConicClass(NamedTuple):
-    discriminant: int
-    degenerate: bool
-    parabola_like: bool
+# the discriminant B^2 - 4AC (an int), whether the conic is degenerate and
+# whether it is parabola-like (two bools)
+ConicClass = namedtuple("ConicClass", "discriminant degenerate parabola_like")
 
 
 def classify_conic(g: ConicForm) -> ConicClass:

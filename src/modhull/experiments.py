@@ -20,16 +20,15 @@ uses an explicit splitmix64 stream so seeds mean the same thing on every
 platform.
 """
 
-import contextlib
 import math
 import os
 import re
 import time
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress, groupby, repeat
 from operator import itemgetter
-from pathlib import Path
-from typing import Iterator, NamedTuple
 
 from ._version import __version__
 from .geometry import convex_hull
@@ -50,7 +49,6 @@ __all__ = [
     "CSV_HEADER",
     "csv_rows",
     "records_to_csv",
-    "write_csv",
     "lower_bound_census",
     "exponent_summary",
     "SummaryFold",
@@ -61,14 +59,16 @@ __all__ = [
 CACHE_ENV = "MODHULL_CACHE_DIR"
 
 # The most records one sweep may hold, bounded from its arguments before it
-# builds anything (APolicy.max_count).  A sweep holds the records of one
-# modulus at a time and `modhull sweep` spools its CSV to a file, so what
-# grows with the record count is SummaryFold's 48 bytes a record and, on a
-# warm replay, the cache lines the sweep loads (about 290 bytes a record,
+# builds anything: APolicy.max_count counts at most m - 1 residues for an
+# odd m and m/2 for an even one.  A sweep holds the records of one modulus
+# at a time and `modhull sweep` spools its CSV to a file, so what grows
+# with the record count is SummaryFold's 48 bytes a record and, on a warm
+# replay, the cache lines the sweep loads (about 250-290 bytes a record,
 # each freed as its record is built).  `modhull sweep --a-policy all` over
-# m in [3, 300], [3, 500] and [3, 700] (27,396, 76,114 and 149,016 records)
-# peaked at 17.1, 19.6 and 23.4 MiB RSS cold and 22.4, 36.3 and 55.8 MiB on
-# the warm replay, so a warm replay at the ceiling takes about 0.6 GB.
+# m in [3, 300], [3, 500], [3, 700] and [3, 2001] (27,396, 76,114, 149,016
+# and 1,217,818 records; the last bounded by 1,501,499) peaked at 17.1,
+# 19.6, 23.4 and 72.8 MiB RSS cold and 22.4, 36.3, 55.8 and 317.7 MiB on
+# the warm replay, so a warm replay at the ceiling takes about 0.5 GB.
 # CPython 3.11, 64-bit Linux.
 SWEEP_CEILING = 2 * 10**6
 
@@ -99,15 +99,9 @@ class SplitMix64:
         return self.next() % n
 
 
-class _APolicy(NamedTuple):
-    kind: str  # "one" | "all" | "sample"
-    k: int
-    seed: int
-
-
-class APolicy(_Checked, _APolicy):
-    """Which residues a to visit per modulus: a=1 only, all units, or a
-    seeded sample of k distinct units."""
+class APolicy(_Checked, namedtuple("APolicy", "kind k seed")):
+    """Which residues a to visit per modulus, by kind: a=1 only ("one"), all
+    units ("all"), or a seeded sample of k distinct units ("sample")."""
 
     __slots__ = ()
 
@@ -133,12 +127,18 @@ class APolicy(_Checked, _APolicy):
 
     def max_count(self, m_min: int, m_max: int) -> int:
         """An upper bound on the residues visited over m in [m_min, m_max],
-        from the arguments alone: the units mod m number at most m - 1, and a
-        sample holds at most k of them."""
+        in closed form from the arguments alone: the units mod m number at
+        most m - 1 for odd m and at most m/2, the odd residues, for even m,
+        and a sample holds at most k of them."""
         r = m_max - m_min + 1
         if self.kind == "one":
             return r
-        every = r * (m_min + m_max - 2) // 2
+
+        def units(n):  # the sum of m - 1 over odd m <= n and of m/2 over even m <= n
+            odd, even = (n - 1) // 2, n // 2
+            return odd * (odd + 1) + even * (even + 1) // 2
+
+        every = units(m_max) - units(m_min - 1)
         return every if self.kind == "all" else min(r * self.k, every)
 
     def a_values(self, m: int) -> list[int]:
@@ -188,30 +188,28 @@ def sample_coprime(m: int, k: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-class SweepRecord(NamedTuple):
-    """One sweep record.  The field declarations are the whole schema: the
-    CSV columns and the CSV row format.  The record is the tuple of its
-    values, in column order."""
-
-    m: int
-    a: int
-    v: int
-    phi: int
-    tau_m_minus_1: int
-    kernel: int
-    t: int
-    squarefree: bool
-    exponent: float
-    norm512: float
-    method: str
-    candidate_count: int
-    elapsed_ns: int
-
-
-CSV_COLUMNS = SweepRecord._fields
-_FIELD_TYPES = tuple(map(SweepRecord.__annotations__.get, CSV_COLUMNS))
-# booleans print as 0/1 and reals to six significant digits
-_ROW_FORMAT = ",".join({int: "%d", bool: "%d", float: "%.6g", str: "%s"}[t] for t in _FIELD_TYPES)
+# The whole schema of a sweep record: each CSV column, in order, with its
+# format in a CSV row.  Integers print in decimal, the squarefree flag as
+# 0/1 and the reals to six significant digits.  A record is a SweepRecord,
+# the tuple of its values in column order.
+_SCHEMA = (
+    ("m", "%d"),
+    ("a", "%d"),
+    ("v", "%d"),
+    ("phi", "%d"),
+    ("tau_m_minus_1", "%d"),
+    ("kernel", "%d"),
+    ("t", "%d"),
+    ("squarefree", "%d"),
+    ("exponent", "%.6g"),
+    ("norm512", "%.6g"),
+    ("method", "%s"),
+    ("candidate_count", "%d"),
+    ("elapsed_ns", "%d"),
+)
+CSV_COLUMNS, _FORMATS = zip(*_SCHEMA)
+SweepRecord = namedtuple("SweepRecord", CSV_COLUMNS)
+_ROW_FORMAT = ",".join(_FORMATS)
 # a cache line, "m a v candidate_count elapsed_ns version\n", one space apart:
 # the columns a hull gives, then the version, last so that a line torn short
 # of its end never matches _line_pattern
@@ -280,11 +278,11 @@ def compute_record(m: int, a: int) -> SweepRecord:
 # --- cache: one line per record, appended as each record is computed ---
 
 
-def default_cache_file() -> Path:
-    return Path(os.environ.get(CACHE_ENV, ".modhull_cache")) / "sweep-cache.txt"
+def default_cache_file() -> str:
+    return os.path.join(os.environ.get(CACHE_ENV, ".modhull_cache"), "sweep-cache.txt")
 
 
-def _load_cache(path: Path, m_min: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+def _load_cache(path: os.PathLike | str, m_min: int, m_max: int) -> dict[tuple[int, int], tuple[int, int, int]]:
     """The hull columns (v, candidate_count, elapsed_ns) of this version with
     m in [m_min, m_max] in the cache file, keyed by (m, a).  A line replays
     when it is spelled as _LINE_FORMAT spells it: five decimal integers
@@ -331,10 +329,10 @@ def _line_pattern() -> re.Pattern:
     return re.compile(rb"^%s %s %s %s (0|[1-9][0-9]{0,18}) %s$" % (count, count, count, count, version), re.M)
 
 
-def _open_for_append(path: Path):
+def _open_for_append(path: os.PathLike | str):
     """The cache file, unbuffered and in append mode: each write() is one
     system call, so the lines of two sweeps appending at once never mix."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     fh = open(path, "a+b", buffering=0)  # positioned at the end of the file
     fh.seek(max(fh.tell() - 1, 0))
     if fh.read(1) not in (b"", b"\n"):
@@ -347,7 +345,7 @@ def sweep_moduli(
     m_max: int,
     policy: APolicy,
     workers: int = 1,
-    cache_file: Path | None = None,
+    cache_file: os.PathLike | str | None = None,
 ) -> Iterator[list[SweepRecord]]:
     """The records of each m in [m_min, m_max], one list per modulus in
     increasing m, each ordered by a, made lazily: a modulus is listed,
@@ -398,7 +396,8 @@ def sweep_moduli(
 _POOL_BATCH = 64
 
 
-def _sweep(walk, workers: int, cache_file: Path | None, cache: dict) -> Iterator[list[SweepRecord]]:
+def _sweep(walk, workers: int, cache_file: os.PathLike | str | None, cache: dict) -> Iterator[list[SweepRecord]]:
+    import contextlib
     from collections import deque
 
     out = None  # the cache file, opened for the first line the sweep appends
@@ -458,7 +457,7 @@ def run_sweep(
     m_max: int,
     policy: APolicy,
     workers: int = 1,
-    cache_file: Path | None = None,
+    cache_file: os.PathLike | str | None = None,
 ) -> list[SweepRecord]:
     """One record per (m, a) over m in [m_min, m_max], ordered by (m, a):
     the records of sweep_moduli, in one list."""
@@ -476,11 +475,6 @@ def csv_rows(records: list[SweepRecord]) -> str:
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     return CSV_HEADER + csv_rows(records)
-
-
-def write_csv(path, records: list[SweepRecord]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(records_to_csv(records))
 
 
 def lower_bound_census(m_min: int, m_max: int) -> tuple[list[tuple[int, int, int]], int]:

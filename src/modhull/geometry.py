@@ -9,7 +9,8 @@ collinear) are first-class values with 1 or 2 vertices.
 """
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .hyperbola import Point
 from .ntheory import _Checked, ext_gcd
@@ -41,11 +42,7 @@ def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-class _ConvexPolygon(NamedTuple):
-    vertices: tuple[Point, ...]
-
-
-class ConvexPolygon(_Checked, _ConvexPolygon):
+class ConvexPolygon(_Checked, namedtuple("ConvexPolygon", "vertices")):
     """A vertex list that is valid exactly when it is the vertex list
     convex_hull returns for these points: nonempty, strictly convex,
     counterclockwise and starting at the lexicographically smallest vertex.
@@ -214,16 +211,7 @@ def contains_point(poly: ConvexPolygon, p: Point) -> bool:
     return all(_cross(v[i], v[(i + 1) % len(v)], p) >= 0 for i in range(len(v)))
 
 
-class _UnimodularMap(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-    tx: int
-    ty: int
-
-
-class UnimodularMap(_Checked, _UnimodularMap):
+class UnimodularMap(_Checked, namedtuple("UnimodularMap", "a b c d tx ty")):
     """Affine map (x, y) -> (a x + b y + tx, c x + d y + ty) with det(a d - b c) = +-1.
 
     Such maps permute the integer lattice, so they preserve lattice hulls,

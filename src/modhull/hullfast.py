@@ -47,8 +47,8 @@ certificate accepts is returned as the hull.
 Small moduli skip the search and hull every point.
 """
 
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .geometry import ConvexPolygon, convex_hull
 from .hyperbola import HyperbolaSpec, Point, PointSet, enumerate_points
@@ -160,19 +160,15 @@ def fast_hull(spec: HyperbolaSpec) -> ConvexPolygon:
     return _certified_hull(spec)[0]
 
 
-class VerificationReport(NamedTuple):
-    """Side-by-side result of the certified and brute-force hulls."""
-
-    m: int
-    a: int
-    equal: bool
-    fast_vertices: tuple[Point, ...]
-    naive_vertices: tuple[Point, ...]
-    candidate_count: int
-    point_count: int
-    max_corner_product: int  # largest f over the true hull's vertices
-    missing: tuple[Point, ...]  # true vertices the fast hull lost
-    extra: tuple[Point, ...]  # fast vertices that are not true vertices
+# Side-by-side result of the certified and brute-force hulls of H_a(m):
+# whether their vertex sets are equal, each hull's vertices, the number of
+# candidates the certified search hulled and of points in H_a(m), the
+# largest f over the true hull's vertices, the true vertices the fast hull
+# lost (missing) and the fast vertices that are not true vertices (extra).
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "m a equal fast_vertices naive_vertices candidate_count point_count max_corner_product missing extra",
+)
 
 
 def verify_against_naive(spec: HyperbolaSpec) -> VerificationReport:

@@ -7,14 +7,11 @@ interchange with the conic-fitting tools and the CLI.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
 
 from .ntheory import _Checked, batch_mod_inv, factorize
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "MODULUS_CEILING",
@@ -55,12 +52,7 @@ ENUMERATION_CEILING = 10**7
 _COUNT_CHUNK = 2**15
 
 
-class _HyperbolaSpec(NamedTuple):
-    m: int
-    a: int
-
-
-class HyperbolaSpec(_Checked, _HyperbolaSpec):
+class HyperbolaSpec(_Checked, namedtuple("HyperbolaSpec", "m a")):
     """Modulus m and residue a, with a reduced into [1, m-1] and gcd(a, m) = 1."""
 
     __slots__ = ()

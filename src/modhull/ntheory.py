@@ -8,7 +8,7 @@ inputs are rejected rather than silently mis-factored.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "FACTOR_CEILING",
@@ -140,9 +140,10 @@ def _brent_rho(n: int) -> int:
 
 class _Checked:
     """The first base of each validated value type: a subclass of a
-    NamedTuple that checks and normalises its fields in its own __new__.
-    NamedTuple's _make, which _replace builds through, bypasses __new__;
-    this one calls the class, so every way of building a value checks."""
+    namedtuple that checks and normalises its fields in its own __new__.
+    The namedtuple's _make, which _replace builds through, bypasses
+    __new__; this one calls the class, so every way of building a value
+    checks."""
 
     __slots__ = ()
 
@@ -151,11 +152,7 @@ class _Checked:
         return cls(*iterable)
 
 
-class _Factorization(NamedTuple):
-    factors: tuple[tuple[int, int], ...]
-
-
-class Factorization(_Checked, _Factorization):
+class Factorization(_Checked, namedtuple("Factorization", "factors")):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     The empty tuple represents 1.  Every prime is checked, except in the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -375,6 +376,49 @@ def test_sweep_sample_of_more_than_every_unit_runs(tmp_path, capsys, monkeypatch
         )
         assert (code, err) == (0, "") and "wrote 30 records" in out
     assert (tmp_path / "1000000.csv").read_bytes() == (tmp_path / "100.csv").read_bytes()
+
+
+# Two cold sweeps, their whole stdout and the sha256 of their CSV with
+# elapsed_ns masked: `all` over [3, 60] on the enumeration path and a seeded
+# sample over [1000, 1010] on the certified one.  The summary means are
+# float sum()s, which CPython 3.12 and later compensate, so each Python the
+# suite runs on checks them.
+PINNED_SWEEPS = {
+    "--m-min 3 --m-max 60 --a-policy all": (
+        """\
+wrote 1100 records to r.csv
+overall          n=1100   exponent max=0.9208 mean=0.6463  norm512 max=4.8251 mean=1.9614
+non_squarefree   n=344    exponent max=0.8199 mean=0.5752  norm512 max=1.2399 mean=0.4802
+squarefree       n=756    exponent max=0.9208 mean=0.6786  norm512 max=4.8251 mean=2.6354
+[2^1,2^2)        n=2      exponent max=0.6309 mean=0.6309  norm512 max=1.2654 mean=1.2654
+[2^2,2^3)        n=14     exponent max=0.9208 mean=0.7376  norm512 max=2.6670 mean=1.8161
+[2^3,2^4)        n=54     exponent max=0.8977 mean=0.7084  norm512 max=3.4344 mean=1.9126
+[2^4,2^5)        n=236    exponent max=0.8843 mean=0.6795  norm512 max=4.3324 mean=1.9411
+[2^5,2^6)        n=794    exponent max=0.8254 mean=0.6306  norm512 max=4.8251 mean=1.9751
+""",
+        "734756f2a5ff9420f24f9e1999f6178261a3ba19ea7974ac2dd24a0618436217",
+    ),
+    "--m-min 1000 --m-max 1010 --a-policy sample:3 --seed 7": (
+        """\
+wrote 33 records to r.csv
+overall          n=33     exponent max=0.5338 mean=0.4512  norm512 max=2.2466 mean=1.1284
+non_squarefree   n=9      exponent max=0.4824 mean=0.4145  norm512 max=0.6737 mean=0.1846
+squarefree       n=24     exponent max=0.5338 mean=0.4650  norm512 max=2.2466 mean=1.4823
+[2^9,2^10)       n=33     exponent max=0.5338 mean=0.4512  norm512 max=2.2466 mean=1.1284
+""",
+        "e78a4de1980a40d12adfc7e43e254450df5b5abc612a6b649ae7e324cc5fac81",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SWEEPS))
+def test_sweep_output_is_pinned(tmp_path, capsys, monkeypatch, argv):
+    stdout, digest = PINNED_SWEEPS[argv]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "sweep", *argv.split(), "--out", "r.csv", "--no-cache") == (0, stdout, "")
+    masked = re.sub(rb",\d+$", b"", (tmp_path / "r.csv").read_bytes(), flags=re.M)  # elapsed_ns
+    assert hashlib.sha256(masked).hexdigest() == digest
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]  # no cache
 
 
 def test_conic_fit(tmp_path, capsys):

@@ -795,9 +795,24 @@ def test_sweep_refuses_more_records_than_the_ceiling(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=str(SWEEP_CEILING)):
             run_sweep(m_min, m_max, policy, cache_file=tmp_path / "c.txt")
     assert not (tmp_path / "c.txt").exists()
-    # the bounds: one residue, k residues, or m - 1 >= phi(m) per modulus
-    assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 5 + 6 + 7 + 8]
-    assert APolicy("sample", 10).max_count(5, 9) == 4 + 5 + 6 + 7 + 8  # a sample holds at most every unit
+    # the bounds: one residue, k residues, or per modulus m - 1 >= phi(m) for
+    # odd m and m/2 >= phi(m) for even m
+    assert [APolicy(*p).max_count(5, 9) for p in (("one",), ("sample", 3), ("all",))] == [5, 15, 4 + 3 + 6 + 4 + 8]
+    assert APolicy("sample", 10).max_count(5, 9) == 4 + 3 + 6 + 4 + 8  # a sample holds at most every unit
+
+
+def test_all_bound_holds_every_unit_and_admits_3_to_2001():
+    # the closed form is the sum of m - 1 over odd m and m/2 over even m, and
+    # at least the sum of phi(m), the records of `all`, on every range
+    # inside [2, 119]
+    phi = [0, 0] + [factorize(m).phi for m in range(2, 120)]
+    for lo in range(2, 120):
+        for hi in range(lo, 120):
+            bound = APolicy("all").max_count(lo, hi)
+            assert bound == sum(m - 1 if m % 2 else m // 2 for m in range(lo, hi + 1)) >= sum(phi[lo : hi + 1])
+    # `all` over [3, 2001] holds 1,217,818 records and is no longer refused
+    assert APolicy("all").max_count(3, 2001) == 1_501_499 <= SWEEP_CEILING
+    experiments.sweep_moduli(3, 2001, APolicy("all")).close()  # the refusal is made at the call
 
 
 def test_sweep_and_census_refuse_moduli_past_the_ceiling(tmp_path, monkeypatch):

@@ -1,10 +1,10 @@
 """The package's value types, the names it exports and what importing it
 costs.
 
-Each validated type is a NamedTuple whose subclass checks and normalises in
-__new__; every way of building one (positional, keyword, _make, _replace,
-unpickling) must run those checks.  The package exports every name in the
-__all__ of each library module.
+Each validated type is a subclass of a namedtuple that checks and
+normalises in __new__; every way of building one (positional, keyword,
+_make, _replace, unpickling) must run those checks.  The package exports
+every name in the __all__ of each library module.
 """
 
 import importlib
@@ -111,6 +111,29 @@ def test_import_loads_no_costly_stdlib_module():
         f"print(sorted(set({COSTLY_MODULES!r}) & (set(sys.modules) - before)))\n"
     )
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
+    path, loaded = out.splitlines()
+    assert Path(path).resolve().is_relative_to(import_root)
+    assert loaded == "[]"
+
+
+# stdlib modules that `import modhull, modhull.cli` must not load when the
+# interpreter runs without `site` (-I -S), as it does for users whose
+# site-packages preload nothing: typing and pathlib cost about 4-6 ms each.
+# The -I probe above cannot see them on a host whose .pth file preloads them.
+UNSITED_MODULES = ["typing", "pathlib", "contextlib"]
+
+
+def test_import_without_site_loads_no_typing_pathlib_or_contextlib():
+    import_root = Path(modhull.__path__[0]).resolve().parent
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(import_root)!r})\n"
+        "before = set(sys.modules)\n"
+        "import modhull, modhull.cli\n"
+        "print(modhull.__file__)\n"
+        f"print(sorted(set({UNSITED_MODULES!r}) & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True).stdout
     path, loaded = out.splitlines()
     assert Path(path).resolve().is_relative_to(import_root)
     assert loaded == "[]"
