@@ -75,40 +75,27 @@ class ConvexPolygon(_Checked, namedtuple("ConvexPolygon", "vertices")):
         return len(self.vertices) < 3
 
 
-def _lower_staircase(pts: Sequence[Point]) -> list[Point]:
-    """The points of a sorted, nonempty sequence that set a new strict
-    minimum of y in a scan from the left or from the right, each scan
-    starting at its first point, joined in sorted order (see convex_hull)."""
-    left, lo = [pts[0]], pts[0][1]
-    for p in pts:
-        if p[1] < lo:
-            lo = p[1]
-            left.append(p)
-    right, lo = [pts[-1]], pts[-1][1]
-    for p in reversed(pts):
-        if p[1] < lo:
-            lo = p[1]
-            right.append(p)
-    if left[-1] == right[-1]:
-        right.pop()
-    return left + right[::-1]
+def _scan(first: Point, seq: Iterable[Point]) -> tuple[list[Point], list[Point]]:
+    """The points of seq, a sorted sequence or its reverse, that set a new
+    strict minimum of y and those that set a new strict maximum, in one
+    walk; both lists start at first, the sequence's first point (see
+    convex_hull)."""
+    mins, maxs = [first], [first]
+    lo = hi = first[1]
+    for p in seq:
+        y = p[1]
+        if y < lo:
+            lo = y
+            mins.append(p)
+        elif y > hi:
+            hi = y
+            maxs.append(p)
+    return mins, maxs
 
 
-def _upper_staircase(pts: Sequence[Point]) -> list[Point]:
-    """_lower_staircase with maxima of y for minima."""
-    left, hi = [pts[0]], pts[0][1]
-    for p in pts:
-        if p[1] > hi:
-            hi = p[1]
-            left.append(p)
-    right, hi = [pts[-1]], pts[-1][1]
-    for p in reversed(pts):
-        if p[1] > hi:
-            hi = p[1]
-            right.append(p)
-    if left[-1] == right[-1]:
-        right.pop()
-    return left + right[::-1]
+def _join(head: list[Point], tail: list[Point]) -> list[Point]:
+    """head, then tail reversed, with one copy of a point both end at."""
+    return head + tail[-2::-1] if head[-1] == tail[-1] else head + tail[::-1]
 
 
 def _chain(seq: Iterable[Point]) -> list[Point]:
@@ -150,16 +137,23 @@ def convex_hull(points: Iterable[Point], *, mirror: int | None = None) -> Convex
     and repeat a point only when the two ends are copies of it.  The half
     turn (x, y) -> (-x, -y) reverses the sorted order and carries minima to
     maxima, so the upper chain, from p1 back to p0, is chained likewise
-    from the upper staircase, the running maxima of y.
+    from the upper staircase, the running maxima of y.  Each scan keeps its
+    running minima and its running maxima in one walk (_scan), so the
+    points are walked twice: once from each end.
 
     mirror=m is a precondition of the caller, not an option: points is a
     sorted sequence closed under s(x, y) = (m - x, m - y).  s is a half
     turn too; it maps the set onto itself, swaps p0 and p1 and carries the
     lower chain onto the upper one (Preparata and Shamos, Computational
     Geometry, 1985, section 3.3), so the upper chain is the image of the
-    lower one.  The input is then neither sorted again nor checked beyond
-    its first and last points: an O(1) refusal of a set that is not
-    mirrored about this m.
+    lower one.  s also reverses the sorted order and sends y to m - y, so
+    the right scan meets the distinct points as the s-images of those the
+    left scan meets, in the same order, and its new minima are the s-images
+    of the left scan's new maxima (a repeat of a point never sets a strict
+    record, so repeats change neither list): the points are walked once.
+    The input is then neither sorted again nor checked beyond its first
+    and last points: an O(1) refusal of a set that is not mirrored about
+    this m.
 
     A lower staircase of one point is a set of copies of one point.  The
     vertex list is the lower chain without p1 followed by the upper chain
@@ -173,12 +167,17 @@ def convex_hull(points: Iterable[Point], *, mirror: int | None = None) -> Convex
         (x0, y0), (x1, y1) = pts[0], pts[-1]
         if x0 + x1 != mirror or y0 + y1 != mirror:
             raise ValueError(f"first and last points {pts[0]} and {pts[-1]} are not mirrors about m = {mirror}")
-    lower = _chain(_lower_staircase(pts))
+    left_min, left_max = _scan(pts[0], pts)
+    if mirror is None:
+        right_min, right_max = _scan(pts[-1], reversed(pts))
+    else:
+        right_min = [(mirror - x, mirror - y) for x, y in left_max]
+    lower = _chain(_join(left_min, right_min))
     if len(lower) == 1:
         return tuple.__new__(ConvexPolygon, ((pts[0],),))
     lower.pop()  # p1, where the upper chain starts
     if mirror is None:
-        upper = _chain(reversed(_upper_staircase(pts)))
+        upper = _chain(_join(right_max, left_max))
         upper.pop()
     else:
         upper = [(mirror - x, mirror - y) for x, y in lower]

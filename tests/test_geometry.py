@@ -249,7 +249,7 @@ def _mirror_line(x0, dx, dy, k, ts):
     return m, sorted(pts)
 
 
-mirrored_inputs = st.one_of(
+mirrored_sets = st.one_of(
     st.builds(
         _mirror_half,
         st.integers(0, 40),
@@ -264,6 +264,21 @@ mirrored_inputs = st.one_of(
         st.integers(0, 8),
         st.lists(st.integers(0, 8), min_size=1, max_size=9),
     ),
+)
+
+
+def _with_repeats(case, picks):
+    """(m, points): case with the points at the indices picks (read mod its
+    length) repeated, each repeat together with its mirror, so the sorted
+    multiset is still closed under (x, y) -> (m - x, m - y)."""
+    m, pts = case
+    extra = [pts[i % len(pts)] for i in picks]
+    return m, sorted(pts + extra + [(m - x, m - y) for x, y in extra])
+
+
+mirrored_inputs = st.one_of(
+    mirrored_sets,
+    st.builds(_with_repeats, mirrored_sets, st.lists(st.integers(0, 30), min_size=1, max_size=6)),
 )
 
 

@@ -221,6 +221,34 @@ def test_is_prime_small():
         assert is_prime(n) == (n in sieve)
 
 
+def _strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin test to the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each n fools every base in its row, so is_prime needs a witness past them
+    cases = [
+        # the least strong pseudoprime to the bases 2, 3, 5 and 7 (Pomerance,
+        # Selfridge and Wagstaff, Math. Comp. 35, 1980)
+        (3_215_031_751, (151, 751, 28_351), (2, 3, 5, 7)),
+        # the least to every prime base up to 17, and to 19 (Jaeschke, Math.
+        # Comp. 61, 1993)
+        (341_550_071_728_321, (10_670_053, 32_010_157), (2, 3, 5, 7, 11, 13, 17, 19)),
+        # the least to every prime base up to 31 (Jiang and Deng, Math. Comp.
+        # 83, 2014); of the twelve witnesses only 37 catches it
+        (3_825_123_056_546_413_051, (149_491, 747_451, 34_233_211), (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    ]
+    for n, factors, fooled in cases:
+        assert math.prod(factors) == n and all(_strong_probable_prime(n, a) for a in fooled), n
+        assert not is_prime(n), n
+        assert factorize(n).factors == tuple((p, 1) for p in factors), n
+
+
 def test_factorization_statistics_examples():
     # t = n / kernel and the squarefree flag are derived by the sweep records
     # (tests/test_experiments.py); these are the statistics they start from
