@@ -174,11 +174,6 @@ class ConicForm(_Checked, namedtuple("ConicForm", "A B C D E F")):
     def discriminant(self) -> int:
         return self.B * self.B - 4 * self.A * self.C
 
-    def evaluate(self, x: int, y: int) -> int:
-        return (
-            self.A * x * x + self.B * x * y + self.C * y * y + self.D * x + self.E * y + self.F
-        )
-
 
 # the discriminant B^2 - 4AC (an int), whether the conic is degenerate and
 # whether it is parabola-like (two bools)

@@ -18,22 +18,33 @@ convex, the intersection of the hyperbola epigraphs x*y > c,
 containing it is the same as the centre lying in P with f <= c on the
 boundary of P.  K is bounded by four arcs, one per quadrant, that meet at
 the corners (m/2, 2c/m), (2c/m, m/2), (m/2, m - 2c/m) and (m - 2c/m, m/2).
-The corners are not collinear, so a P that holds them has interior and is
-the intersection of its edges' closed half-planes.  It contains K when K
-lies behind every edge, and on K a linear function is largest at a corner
-or where an arc's outward normal points along the function's direction.
-The lower-left arc x*y = c has outward normal -(y, x), strictly inside the
-third quadrant, and likewise for the others: only the arc of the quadrant
-that an edge's outward normal points into can reach past the edge, and
-none when the edge is horizontal or vertical.  Reflected onto the
-lower-left corner, (X, Y) = (x or m-x, y or m-y), an edge with direction
-(dx, dy) keeps P on a*X + b*Y >= G, where a = |dy|, b = |dx| and G is the
-value at the edge.  On X*Y = c, a*X + b*Y is least, 2*sqrt(a*b*c), at
-X = sqrt(b*c/a), Y = sqrt(a*c/b), which is on the arc when both are at
-most m/2.  So the check, in integers, is: the four corners lie in P, and
-no edge whose tangency point is on its arc has G > 2*sqrt(a*b*c).  (For
-c <= 0, K is the whole open square; its corners lie outside [1, m-1]^2 and
-the check rejects, as it must.)
+A point or a segment cannot hold K, whose corners are not collinear; a P
+of three or more vertices has interior and is the intersection of its
+edges' closed half-planes.  As K is open, P contains it when no point of
+K's closure lies beyond an edge.
+
+Each edge is read in the frame of the corner of the square that its
+outward normal points to, (X, Y) = (x or m-x, y or m-y): an edge with
+direction (dx, dy) keeps P on a*X + b*Y >= G, where a = |dy|, b = |dx| and
+G is the value at the edge.  K is the same set in every such frame, and
+the least of a*X + b*Y over its closure decides the edge:
+- On the arc X*Y = c of the quadrant X, Y <= m/2, which runs from the
+  corner (m/2, 2c/m) to (2c/m, m/2), a*X + b*c/X is convex in X.  It is
+  least, 2*sqrt(a*b*c), at the tangency point X = sqrt(b*c/a),
+  Y = sqrt(a*c/b) when a and b are not 0 and both coordinates are at most
+  m/2, and else at the nearer of the two corners.  Both corners lie on
+  the arc, so by AM-GM the tangency value is at most either corner's.
+- A point of the closure in the quadrant scores at least the arc point
+  left of it, (c/Y, Y).
+- A point with X >= m/2 has min(Y, m-Y) >= 2c/m, as f >= c, so it scores
+  at least the corner (m/2, 2c/m); likewise with Y >= m/2.  So every
+  point outside the quadrant scores at least the nearer corner.
+So the check, in integers, is one test per edge: when the tangency point
+is on the arc, G <= 2*sqrt(a*b*c); otherwise 2m*G is at most the nearer
+corner's value scaled by 2m, min(a*m^2 + 4*b*c, 4*a*c + b*m^2).  (For
+c <= 0, K is the whole open square, and a*X + b*Y is least, 0, at a corner
+of its closure; every edge of a P in [1, m-1]^2 has G > 0, and either test
+rejects it, as it must.)
 
 The search starts at c = m and doubles c until the certificate holds, and
 it never enumerates: the certificate accepts at the latest when 4c >= m^2,
@@ -108,28 +119,27 @@ def _corner_points(m: int, a: int, lo: int, hi: int) -> Iterator[Point]:
 
 def _certifies(poly: ConvexPolygon, m: int, c: int) -> bool:
     """The certificate: poly contains K = {f > c}, so every lattice point of
-    [1, m-1]^2 outside poly has f <= c.  One pass over the edges: no corner
-    of K, scaled by 2m, lies strictly right of an edge (contains_point's
-    half-plane test on poly scaled by 2m, divided by 2m > 0), and each edge
-    is read in the frame of the corner its outward normal points to (see
-    the module docstring).  A point or a segment cannot hold K's four
-    corners, which are distinct and not collinear when K is not empty."""
+    [1, m-1]^2 outside poly has f <= c.  One test per edge, in the frame of
+    the corner its outward normal points to: the least value over K of the
+    edge's linear form, at the arc's tangency point or at K's nearer corner,
+    is at least its value on the edge (see the module docstring).  A point or a segment
+    cannot hold K's four corners, which are distinct and not collinear when
+    K is not empty."""
     if 4 * c >= m * m:
         return True  # K is empty
     v = poly.vertices
     if len(v) < 3:
         return False
-    mm, s = m * m, 2 * m
-    corners = ((mm, 4 * c), (4 * c, mm), (mm, 2 * mm - 4 * c), (2 * mm - 4 * c, mm))
+    mm = m * m
     for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
         dx, dy = x1 - x0, y1 - y0
-        if any(dx * (zy - s * y0) < dy * (zx - s * x0) for zx, zy in corners):
-            return False  # a corner of K lies beyond the edge
         a, b = abs(dy), abs(dx)
+        g = a * (x0 if dy < 0 else m - x0) + b * (y0 if dx > 0 else m - y0)
         if a and b and 4 * c * a <= b * mm and 4 * c * b <= a * mm:
-            g = a * (x0 if dy < 0 else m - x0) + b * (y0 if dx > 0 else m - y0)
             if g > 0 and g * g > 4 * a * b * c:
                 return False  # the arc's tangency point lies beyond the edge
+        elif 2 * m * g > min(a * mm + 4 * b * c, 4 * a * c + b * mm):
+            return False  # K's nearer corner lies beyond the edge
     return True
 
 

@@ -294,6 +294,27 @@ def test_certificate_matches_reference():
     assert accepted > 3000 and rejected > 7000
 
 
+def test_certificate_matches_reference_on_random_polygons():
+    # seeded hulls of 1 to 8 points of [1, m-1]^2, points and segments
+    # among them; the reference demands the centre inside P, so it models
+    # a non-empty K only, and where K is empty every polygon is accepted
+    rng = random.Random(31)
+    accepted = tested = small = 0
+    while tested < 20000:
+        m = rng.randrange(3, 60)
+        poly = convex_hull([(rng.randrange(1, m), rng.randrange(1, m)) for _ in range(rng.randrange(1, 9))])
+        c = rng.randrange(-5, m * m // 4 + 2)
+        if 4 * c >= m * m:
+            assert _certifies(poly, m, c), (m, c, poly)
+            continue
+        decision = _certifies(poly, m, c)
+        assert decision == reference_certifies(poly, m, c), (m, c, poly)
+        tested += 1
+        accepted += decision
+        small += len(poly.vertices) < 3
+    assert accepted > 2000 and small > 4000
+
+
 def test_certificate_needs_every_corner():
     # m = 10, c = 10: {f > 10} has corners (5, 2), (2, 5), (5, 8), (8, 5).
     # Each rectangle below holds the centre and three corners but not the
