@@ -20,7 +20,14 @@ from .experiments import (
 )
 from .geometry import twice_area
 from .hullfast import fast_hull, hull_method, verify_against_naive
-from .hyperbola import ENUMERATION_CEILING, HyperbolaSpec, count_in_box, predicted_count, read_points_file
+from .hyperbola import (
+    ENUMERATION_CEILING,
+    HyperbolaSpec,
+    count_in_box,
+    format_points,
+    predicted_count,
+    read_points_file,
+)
 
 __all__ = ["main"]
 
@@ -38,8 +45,7 @@ def _cmd_hull(args) -> int:
         print(_HULL_JSON % (spec.m, spec.a, hull_method(spec.m), poly.vertex_count, twice_area(poly), vertices))
     else:
         print(f"m={spec.m} a={spec.a} method={hull_method(spec.m)} v={poly.vertex_count}")
-        for x, y in poly.vertices:
-            print(f"{x} {y}")
+        sys.stdout.write(format_points(poly.vertices))
     return 0
 
 
@@ -137,6 +143,14 @@ def _cmd_conic_count(args) -> int:
     return 0
 
 
+def _add_range_args(p: argparse.ArgumentParser) -> None:
+    """The options of the moduli and residues a sweep or a verify visits."""
+    p.add_argument("--m-min", type=int, required=True)
+    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--a-policy", required=True, help="one | all | sample:K")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modhull", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,20 +162,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hull)
 
     p = sub.add_parser("sweep", help="vertex counts over a modulus range, CSV out")
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--a-policy", required=True, help="one | all | sample:K")
-    p.add_argument("--seed", type=int, default=0)
+    _add_range_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="compare certified hulls against brute force")
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--a-policy", required=True, help="one | all | sample:K")
-    p.add_argument("--seed", type=int, default=0)
+    _add_range_args(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="box count vs the expected main term")

@@ -168,7 +168,7 @@ class ConicForm(_Checked, namedtuple("ConicForm", "A B C D E F")):
 
     @property
     def coeffs(self) -> tuple[int, int, int, int, int, int]:
-        return (self.A, self.B, self.C, self.D, self.E, self.F)
+        return tuple(self)
 
     @property
     def discriminant(self) -> int:
@@ -183,7 +183,7 @@ ConicClass = namedtuple("ConicClass", "discriminant degenerate parabola_like")
 def classify_conic(g: ConicForm) -> ConicClass:
     """Discriminant B^2 - 4AC, degeneracy via the 3x3 form matrix, and the
     parabola flag (zero discriminant while nondegenerate)."""
-    A, B, C, D, E, F = g.coeffs
+    A, B, C, D, E, F = g
     det3 = (
         2 * A * (2 * C * 2 * F - E * E)
         - B * (B * 2 * F - E * D)
@@ -191,11 +191,7 @@ def classify_conic(g: ConicForm) -> ConicClass:
     )
     disc = g.discriminant
     degenerate = det3 == 0
-    return ConicClass(
-        discriminant=disc,
-        degenerate=degenerate,
-        parabola_like=disc == 0 and not degenerate,
-    )
+    return ConicClass(discriminant=disc, degenerate=degenerate, parabola_like=disc == 0 and not degenerate)
 
 
 def conic_points_in_box(g: ConicForm | Sequence[int], H: int) -> Iterator[Point]:
@@ -219,11 +215,11 @@ def conic_points_in_box(g: ConicForm | Sequence[int], H: int) -> Iterator[Point]
     # the ceiling bounds the time of a scan: about 3 s at H = 10^7 (CPython 3.11)
     if H > ENUMERATION_CEILING:
         raise ValueError(f"conic counts are limited to H <= {ENUMERATION_CEILING}, got H = {H}")
-    return _conic_scan(g.coeffs, H)
+    return _conic_scan(g, H)
 
 
-def _conic_scan(coeffs: tuple[int, ...], H: int) -> Iterator[Point]:
-    A, B, C, D, E, F = coeffs
+def _conic_scan(g: ConicForm, H: int) -> Iterator[Point]:
+    A, B, C, D, E, F = g
     if C != 0:
         # at each x, g = 0 is C*y^2 + (B*x + E)*y + (A*x^2 + D*x + F) = 0,
         # whose discriminant in y is P*x^2 + Q*x + R

@@ -22,7 +22,6 @@ platform.
 
 import math
 import os
-import re
 import time
 from collections import namedtuple
 from collections.abc import Iterator
@@ -321,9 +320,12 @@ _FIRST = itemgetter(0)
 
 
 @lru_cache(maxsize=1)
-def _line_pattern() -> re.Pattern:
+def _line_pattern():
     """The pattern of a cache line, one group per integer.  Compiled on the
-    first load, not at import."""
+    first load, not at import, and re is imported here too, so that
+    `import modhull` loads neither re nor the enum it imports."""
+    import re
+
     count = rb"([1-9][0-9]{0,18})"  # 19 digits at most: int() raises past 4300
     version = re.escape(__version__.encode())
     return re.compile(rb"^%s %s %s %s (0|[1-9][0-9]{0,18}) %s$" % (count, count, count, count, version), re.M)

@@ -265,8 +265,14 @@ def _span(vals: list[int]) -> int:
     return max(vals) - min(vals)
 
 
+def _sheared_span(fixed: list[int], moving: list[int], q: int) -> int:
+    """span(moving + q * fixed), entry by entry: the extent along moving's
+    axis after the shear that adds q times fixed's coordinate to it."""
+    return _span([m + q * f for f, m in zip(fixed, moving)])
+
+
 def _best_shear(fixed: list[int], moving: list[int]) -> int:
-    """Integer q minimizing width(q) = span(moving + q * fixed), by binary
+    """Integer q minimizing width(q) = _sheared_span(fixed, moving, q), by binary
     search on the forward difference width(q + 1) - width(q).
 
     The bracket: with fixed[i] - fixed[j] = span(fixed) (i and j swapped
@@ -284,20 +290,15 @@ def _best_shear(fixed: list[int], moving: list[int]) -> int:
     """
     if _span(fixed) == 0:
         return 0
-
-    def width(q):
-        vals = [m + q * f for f, m in zip(fixed, moving)]
-        return max(vals) - min(vals)
-
     bound = 2 * _span(moving) // _span(fixed) + 1
     lo, hi = -bound, bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if width(mid) < width(mid + 1):
+        if _sheared_span(fixed, moving, mid) < _sheared_span(fixed, moving, mid + 1):
             hi = mid
         else:
             lo = mid
-    return lo if width(lo) <= width(hi) else hi
+    return lo if _sheared_span(fixed, moving, lo) <= _sheared_span(fixed, moving, hi) else hi
 
 
 def normalize_to_box(poly: ConvexPolygon) -> tuple[UnimodularMap, int, int]:
@@ -338,8 +339,8 @@ def normalize_to_box(poly: ConvexPolygon) -> tuple[UnimodularMap, int, int]:
         area_now = _span(xs) * _span(ys)
         qy = _best_shear(xs, ys)  # y' = y + qy * x
         qx = _best_shear(ys, xs)  # x' = x + qx * y
-        gain_y = area_now - _span(xs) * _span([y + qy * x for x, y in pts])
-        gain_x = area_now - _span([x + qx * y for x, y in pts]) * _span(ys)
+        gain_y = area_now - _span(xs) * _sheared_span(xs, ys, qy)
+        gain_x = area_now - _sheared_span(ys, xs, qx) * _span(ys)
         if gain_y <= 0 and gain_x <= 0:
             break
         if gain_y >= gain_x:
@@ -349,8 +350,7 @@ def normalize_to_box(poly: ConvexPolygon) -> tuple[UnimodularMap, int, int]:
         total = step.compose(total)
         pts = [step.apply(p) for p in pts]
 
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    # the loop ends before pts moves, so xs and ys are still pts's coordinates
     shift = UnimodularMap(1, 0, 0, 1, tx=-min(xs), ty=-min(ys))
     total = shift.compose(total)
     return total, _span(xs), _span(ys)

@@ -28,6 +28,16 @@ def test_hull_text(capsys):
     assert all(len(line.split()) == 2 for line in lines[1:])
 
 
+def test_hull_text_is_pinned(capsys):
+    # a header line, then the vertices in the package's point-line format
+    expected = "m=7 a=1 method=naive v=6\n1 1\n4 2\n5 3\n6 6\n3 5\n2 4\n"
+    assert run_cli(capsys, "hull", "--m", "7", "--a", "1") == (0, expected, "")
+    for m, a in ((2, 1), (1009, 5), (2**31, 3)):
+        poly = hullfast.fast_hull(hyperbola.HyperbolaSpec(m, a))
+        header = f"m={m} a={a} method={hullfast.hull_method(m)} v={poly.vertex_count}\n"
+        assert run_cli(capsys, "hull", "--m", str(m), "--a", str(a)) == (0, header + format_points(poly.vertices), "")
+
+
 def test_hull_json(capsys):
     expected = (
         '{"m": 7, "a": 1, "method": "naive", "v": 6, "twice_area": 24, '

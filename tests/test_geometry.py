@@ -18,6 +18,7 @@ from modhull.geometry import (
     twice_area,
 )
 from modhull.hyperbola import HyperbolaSpec, enumerate_points
+from modhull.ntheory import ext_gcd
 
 points_strategy = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=40
@@ -428,6 +429,99 @@ def test_best_shear_matches_the_wide_bracket():
         seen_unit_span += max(fixed) - min(fixed) == 1
     assert seen_flat > 300 and seen_unit_span > 300
     assert _best_shear([4, 4, 4], [0, 9, 2]) == 0  # span(fixed) = 0
+
+
+# normalize_to_box and _best_shear as they stood with each shear's span
+# spelled at its three sites: the contract a faster diameter or shear
+# search must keep, map, u and v alike
+def kept_best_shear(fixed, moving):
+    if max(fixed) - min(fixed) == 0:
+        return 0
+
+    def width(q):
+        vals = [m + q * f for f, m in zip(fixed, moving)]
+        return max(vals) - min(vals)
+
+    bound = 2 * (max(moving) - min(moving)) // (max(fixed) - min(fixed)) + 1
+    lo, hi = -bound, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if width(mid) < width(mid + 1):
+            hi = mid
+        else:
+            lo = mid
+    return lo if width(lo) <= width(hi) else hi
+
+
+def kept_normalize_to_box(poly):
+    span = lambda vals: max(vals) - min(vals)
+    pts = list(poly.vertices)
+    best = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx = pts[j][0] - pts[i][0]
+            dy = pts[j][1] - pts[i][1]
+            d2 = dx * dx + dy * dy
+            if best is None or d2 > best[0]:
+                best = (d2, dx, dy)
+    _, dx, dy = best
+    g = math.gcd(dx, dy)
+    ex, ey = dx // g, dy // g
+    _, aa, bb = ext_gcd(ex, ey)
+    total = UnimodularMap(aa, bb, -ey, ex)
+    pts = [total.apply(p) for p in poly.vertices]
+    while True:
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        area_now = span(xs) * span(ys)
+        qy = kept_best_shear(xs, ys)
+        qx = kept_best_shear(ys, xs)
+        gain_y = area_now - span(xs) * span([y + qy * x for x, y in pts])
+        gain_x = area_now - span([x + qx * y for x, y in pts]) * span(ys)
+        if gain_y <= 0 and gain_x <= 0:
+            break
+        if gain_y >= gain_x:
+            step = UnimodularMap(1, 0, qy, 1)
+        else:
+            step = UnimodularMap(1, qx, 0, 1)
+        total = step.compose(total)
+        pts = [step.apply(p) for p in pts]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    shift = UnimodularMap(1, 0, 0, 1, tx=-min(xs), ty=-min(ys))
+    total = shift.compose(total)
+    return total, span(xs), span(ys)
+
+
+def _seeded_convex_polygons(count, seed):
+    """count hulls of positive area: random points at three scales, each
+    set sheared and swapped by a random unimodular map, so that the
+    normalization takes several steps."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.choice((3, 40, 10**4))
+        pts = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(rng.randint(3, 24))]
+        umap = UnimodularMap.identity()
+        for _ in range(rng.randint(0, 4)):
+            q = rng.randint(-9, 9)
+            step = rng.choice((UnimodularMap(1, q, 0, 1), UnimodularMap(1, 0, q, 1), UnimodularMap(0, 1, 1, 0)))
+            umap = step.compose(umap)
+        poly = convex_hull(umap.apply(p) for p in pts)
+        if not poly.degenerate:
+            out.append(poly)
+    return out
+
+
+def test_normalize_matches_the_kept_copy():
+    # the seeded polygons, then the hull of every unit a for m in [10, 60],
+    # of which those on one line (such as a = m - 1 when every point has
+    # x + y = m) have no box to normalize
+    polys = _seeded_convex_polygons(1000, 0x11)
+    units = [(m, a) for m in range(10, 61) for a in range(1, m) if math.gcd(a, m) == 1]
+    polys += [convex_hull(enumerate_points(HyperbolaSpec(m, a))) for m, a in units]
+    for poly in filter(lambda poly: not poly.degenerate, polys):
+        assert normalize_to_box(poly) == kept_normalize_to_box(poly), poly.vertices
 
 
 def test_unimodular_map_validation():

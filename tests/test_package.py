@@ -154,3 +154,25 @@ def test_import_compiles_no_cache_line_pattern():
     )
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0", "1"]  # compiled on the first load, not at import
+
+
+# stdlib modules that `import modhull` alone must not load without `site`:
+# re and the enum it imports cost about 5 ms, and only a sweep that reads a
+# cache compiles a pattern.  modhull.cli loads both through argparse, so
+# this probe imports the package alone and checks every module loaded.
+PATTERN_MODULES = ["re", "enum"]
+
+
+def test_import_without_site_loads_no_re_or_enum():
+    import_root = Path(modhull.__path__[0]).resolve().parent
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(import_root)!r})\n"
+        "import modhull\n"
+        "print(modhull.__file__)\n"
+        f"print(sorted(set({PATTERN_MODULES!r}) & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True).stdout
+    path, loaded = out.splitlines()
+    assert Path(path).resolve().is_relative_to(import_root)
+    assert loaded == "[]"
